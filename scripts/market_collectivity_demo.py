@@ -45,16 +45,10 @@ def main() -> None:
 
     rows = []
     for shift in (0, 1):
-        merged = corr.merge_panels(panel_a, panel_b)
-        if shift:
-            from collectivity.marketdata import shift_returns
-            merged = shift_returns(merged, panel_a.assets, shift)
-        matrices = corr.rolling_correlation(merged, args.window)
-        for m in matrices:
-            m.block_split = panel_a.n_assets
-        trace = spectral.spectrum_trace(matrices)
+        merged = corr.merge_panels(panel_a, panel_b, shift)
+        trace = spectral.spectrum_trace(corr.rolling_correlation(merged, args.window))
         write_spectrum_trace(out / f"global_trace_shift{shift}.tsv", trace)
-        gaps = [s.eigenvalues[0] / s.eigenvalues[1] for s in trace.snapshots]
+        gaps = [spectral.collectivity_metrics(s).gap_ratio for s in trace.snapshots]
         tops = [s.eigenvalues[0] for s in trace.snapshots]
         rows.append((shift, float(np.mean(gaps)), float(np.mean(tops))))
         print(f"shift {shift}: mean gap ratio {rows[-1][1]:.2f}, mean lambda_1 {rows[-1][2]:.2f}")

@@ -86,10 +86,34 @@ _INPUT_OPTIONS = [
 ]
 
 
-def _with_input_options(fn):
-    for option in reversed(_INPUT_OPTIONS):
-        fn = option(fn)
-    return fn
+_SERIES_OPTIONS = [
+    click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False),
+                 help="Series file with date and value columns."),
+    click.option("--date-col", default="date", show_default=True, help="Date column name."),
+    click.option("--value-col", default="price", show_default=True, help="Value column name."),
+    click.option("--delimiter", default=",", show_default=True, help="Field delimiter."),
+    click.option("--log/--no-log", "take_log", default=True, show_default=True,
+                 help="Use the natural log of the values."),
+]
+
+
+def _with_options(options):
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return decorate
+
+
+def _load_series(input_path, date_col, value_col, delimiter, take_log):
+    """(origin date, days since origin, values or their log) of a series file."""
+    dates, values = marketdata.load_value_series(input_path, date_col, value_col, delimiter)
+    if take_log:
+        if np.any(values <= 0):
+            raise DataError("cannot take the log of non-positive values; use --no-log")
+        values = np.log(values)
+    origin = dates[0]
+    return origin, np.array([(d - origin).days for d in dates], dtype=float), values
 
 
 @click.group()
@@ -110,7 +134,7 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
 @cli.command()
 @click.option("--input", "inputs", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_input_options
+@_with_options(_INPUT_OPTIONS)
 @click.option("--out-dir", default=".", show_default=True, help="Output directory.")
 @click.pass_context
 def returns(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_coverage, out_dir):
@@ -125,7 +149,7 @@ def returns(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_cov
 @cli.command(name="corr")
 @click.option("--input", "inputs", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_input_options
+@_with_options(_INPUT_OPTIONS)
 @click.option("--window-start", default=None, help="ISO date; first day of the window.")
 @click.option("--window-end", default=None, help="ISO date; last day of the window.")
 @click.option("--out-dir", default=".", show_default=True)
@@ -153,7 +177,7 @@ def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
 @cli.command()
 @click.option("--input", "inputs", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_input_options
+@_with_options(_INPUT_OPTIONS)
 @click.option("--window-length", default=corr.DEFAULT_WINDOW, show_default=True,
               type=click.IntRange(min=2), help="Rolling window length in trading days.")
 @click.option("--step", default=1, show_default=True, type=click.IntRange(min=1))
@@ -180,7 +204,7 @@ def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
               type=click.Path(exists=True, dir_okay=False), help="Market A price file(s).")
 @click.option("--input-b", "inputs_b", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False), help="Market B price file(s).")
-@_with_input_options
+@_with_options(_INPUT_OPTIONS)
 @click.option("--shift-days", default=0, show_default=True, type=int,
               help="Trading-day shift applied to market A before correlating.")
 @click.option("--window-length", default=corr.DEFAULT_GLOBAL_WINDOW, show_default=True,
@@ -199,29 +223,17 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     schema = _schema(date_col, asset_col, price_col, delimiter)
     panel_a = _load_panel(inputs_a, schema, tau, min_coverage)
     panel_b = _load_panel(inputs_b, schema, tau, min_coverage)
-    merged = corr.merge_panels(panel_a, panel_b)
-    if shift_days != 0:
-        merged = marketdata.shift_returns(merged, panel_a.assets, shift_days)
-
-    matrices = corr.rolling_correlation(merged, window_length, step)
-    rows = []
-    eigen_rows = []
-    for matrix in matrices:
-        matrix.block_split = panel_a.n_assets
-        window_spectrum = spectral.eigendecompose(matrix)
-        metrics = spectral.collectivity_metrics(window_spectrum)
-        rows.append(
-            [matrix.window.end, metrics.gap_ratio, metrics.dominance, metrics.participation_ratio]
-        )
-        eigen_rows.append(window_spectrum.eigenvalues)
-    n = merged.n_assets
+    merged = corr.merge_panels(panel_a, panel_b, shift_days)
+    trace = spectral.spectrum_trace(corr.rolling_correlation(merged, window_length, step))
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
-        f"lambda_{i + 1}" for i in range(n)
+        f"lambda_{i + 1}" for i in range(merged.n_assets)
     ]
+    metrics = [spectral.collectivity_metrics(s) for s in trace.snapshots]
     output.write_tsv(
         out / "global_trace.tsv",
         header,
-        (row + list(ev) for row, ev in zip(rows, eigen_rows)),
+        ([s.window_end, m.gap_ratio, m.dominance, m.participation_ratio, *s.eigenvalues]
+         for s, m in zip(trace.snapshots, metrics)),
     )
     output.write_json(
         out / "global_blocks.json",
@@ -237,10 +249,11 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
             extra={"alignment_policy": "intersect"})
 
 
-def _grid(lo: float | None, hi: float | None, nodes: int, fallback: np.ndarray | None = None):
-    if lo is None and hi is None and fallback is not None:
-        return fallback
-    if lo is None or hi is None:
+def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -> np.ndarray:
+    """nodes points from lo to hi; with neither bound given, the default grid's span."""
+    if lo is None and hi is None:
+        lo, hi = default[0], default[-1]
+    elif lo is None or hi is None:
         raise click.UsageError("grid bounds must be given as a min/max pair")
     if hi < lo:
         raise click.UsageError(f"grid bounds out of order: [{lo}, {hi}]")
@@ -248,13 +261,7 @@ def _grid(lo: float | None, hi: float | None, nodes: int, fallback: np.ndarray |
 
 
 @cli.command(name="lppl-fit")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Series file with date and value columns.")
-@click.option("--date-col", default="date", show_default=True)
-@click.option("--value-col", default="price", show_default=True)
-@click.option("--delimiter", default=",", show_default=True)
-@click.option("--log/--no-log", "take_log", default=True, show_default=True,
-              help="Fit the natural log of the values.")
+@_with_options(_SERIES_OPTIONS)
 @click.option("--variant", type=click.Choice(lppl.VARIANTS), default="cosine", show_default=True)
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
 @click.option("--tc-min", type=float, default=None, help="t_c grid start, days from series start.")
@@ -273,14 +280,7 @@ def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant,
              alpha_min, alpha_max, alpha_nodes, out_dir):
     """Fit the log-periodic power law; t_c is searched in days since the series start."""
     out = _ensure_out_dir(out_dir)
-    dates, values = marketdata.load_value_series(input_path, date_col, value_col, delimiter)
-    if take_log:
-        if np.any(values <= 0):
-            raise DataError("cannot take the log of non-positive values; use --no-log")
-        values = np.log(values)
-    origin = dates[0]
-    times = np.array([(d - origin).days for d in dates], dtype=float)
-
+    origin, times, values = _load_series(input_path, date_col, value_col, delimiter, take_log)
     defaults = lppl.default_fit_config(times, variant, direction)
     config = lppl.FitConfig(
         tc_grid=_grid(tc_min, tc_max, tc_nodes, defaults.tc_grid),
@@ -298,11 +298,7 @@ def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant,
 
 
 @cli.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--date-col", default="date", show_default=True)
-@click.option("--value-col", default="price", show_default=True)
-@click.option("--delimiter", default=",", show_default=True)
-@click.option("--log/--no-log", "take_log", default=True, show_default=True)
+@_with_options(_SERIES_OPTIONS)
 @click.option("--t-c", "tc_text", required=True,
               help="Critical time: ISO date or float days since the series start.")
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
@@ -314,13 +310,7 @@ def extrema(ctx, input_path, date_col, value_col, delimiter, take_log, tc_text, 
             smooth_width, out_dir):
     """Locate oscillation extrema around t_c and report their spacing ratios."""
     out = _ensure_out_dir(out_dir)
-    dates, values = marketdata.load_value_series(input_path, date_col, value_col, delimiter)
-    if take_log:
-        if np.any(values <= 0):
-            raise DataError("cannot take the log of non-positive values; use --no-log")
-        values = np.log(values)
-    origin = dates[0]
-    times = np.array([(d - origin).days for d in dates], dtype=float)
+    origin, times, values = _load_series(input_path, date_col, value_col, delimiter, take_log)
     try:
         tc = float(tc_text)
     except ValueError:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import marketdata
 from .errors import DataError
 from .marketdata import ReturnPanel
 
@@ -115,8 +116,14 @@ def rolling_correlation(panel: ReturnPanel, window_length: int, step: int = 1) -
     return out
 
 
-def merge_panels(panel_a: ReturnPanel, panel_b: ReturnPanel) -> ReturnPanel:
-    """Stack two markets on the intersection of their date axes."""
+def merge_panels(panel_a: ReturnPanel, panel_b: ReturnPanel, shift_days: int = 0) -> ReturnPanel:
+    """Stack two markets on the intersection of their date axes.
+
+    A nonzero shift_days then re-indexes market A by that many trading days
+    (marketdata.shift_returns): with shift_days = 1 the A returns from one
+    trading day earlier are paired with same-day B returns, which merges the
+    blocks when market B follows market A by one day.
+    """
     overlap = set(panel_a.assets).intersection(panel_b.assets)
     if overlap:
         raise DataError(f"markets share asset ids: {sorted(overlap)}")
@@ -133,12 +140,15 @@ def merge_panels(panel_a: ReturnPanel, panel_b: ReturnPanel) -> ReturnPanel:
         cols = [pos[d] for d in common]
         return panel.returns[:, cols]
 
-    return ReturnPanel(
+    merged = ReturnPanel(
         list(panel_a.assets) + list(panel_b.assets),
         common,
         np.vstack([restrict(panel_a), restrict(panel_b)]),
         panel_a.lag_days,
     )
+    if shift_days != 0:
+        merged = marketdata.shift_returns(merged, panel_a.assets, shift_days)
+    return merged
 
 
 def global_correlation(
@@ -149,14 +159,8 @@ def global_correlation(
 ) -> CorrelationMatrix:
     """2-block global correlation matrix of two markets on their common calendar.
 
-    shift_days is applied to market A before windowing: with shift_days = 1
-    the A returns from one trading day earlier are paired with same-day B
-    returns, which merges the blocks when market B follows market A by one
-    day. block_split records the size of the A block.
+    The markets are merged and market A shifted as in merge_panels before
+    windowing; block_split records the size of the A block.
     """
-    from .marketdata import shift_returns
-
-    merged = merge_panels(panel_a, panel_b)
-    if shift_days != 0:
-        merged = shift_returns(merged, panel_a.assets, shift_days)
+    merged = merge_panels(panel_a, panel_b, shift_days)
     return correlation_matrix(merged, window, block_split=panel_a.n_assets)

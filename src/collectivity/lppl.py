@@ -29,7 +29,7 @@ the log-period and the ratios estimate sqrt(lam).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -450,16 +450,7 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
     tc_grid = _clip_tc_grid(config.tc_grid, times, config.direction)
     if len(tc_grid) == 0:
         raise DataError("every t_c grid node leaves data on the wrong side of the critical time")
-    config = FitConfig(
-        tc_grid=tc_grid,
-        lam_grid=config.lam_grid,
-        alpha_grid=config.alpha_grid,
-        variant=config.variant,
-        direction=config.direction,
-        phi_scan_points=config.phi_scan_points,
-        refine_tol=config.refine_tol,
-        max_refine_sweeps=config.max_refine_sweeps,
-    )
+    config = replace(config, tc_grid=tc_grid)
 
     diag = FitDiagnostics()
     if config.variant == "cosine":

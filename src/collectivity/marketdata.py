@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -95,66 +97,91 @@ class ReturnPanel:
         return self.returns[self.assets.index(asset_id)]
 
 
+def _read_records(
+    source: str | Path | TextIO,
+    date_col: str,
+    value_col: str,
+    delimiter: str,
+    noun: str,
+    key_col: str | None = None,
+) -> Iterator[tuple[int, dt.date, str | None, float]]:
+    """Yield (line number, date, key, value) for each non-blank record.
+
+    The header row maps the column names; every record needs an ISO-8601
+    date and a finite number in the value column, plus a non-empty id in
+    the key column when one is mapped. Faults are DataErrors naming the
+    line, with the value called `noun` in their messages.
+    """
+    opened = open(source, newline="") if isinstance(source, (str, Path)) else nullcontext(source)
+    with opened as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError("empty input: no header row") from None
+        try:
+            i_date, i_value = header.index(date_col), header.index(value_col)
+            i_key = None if key_col is None else header.index(key_col)
+        except ValueError:
+            mapped = [c for c in (date_col, key_col, value_col) if c is not None]
+            raise DataError(
+                f"header {header} is missing one of the mapped columns "
+                f"({', '.join(map(repr, mapped))})"
+            ) from None
+        width = max(i_date, i_value, i_key or 0)
+
+        for lineno, row in enumerate(reader, start=2):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) <= width:
+                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                day = dt.date.fromisoformat(row[i_date].strip())
+            except ValueError:
+                raise DataError(f"line {lineno}: unparseable date {row[i_date]!r}") from None
+            key = None
+            if i_key is not None:
+                key = row[i_key].strip()
+                if not key:
+                    raise DataError(f"line {lineno}: empty asset id")
+            try:
+                value = float(row[i_value])
+            except ValueError:
+                raise DataError(f"line {lineno}: unparseable {noun} {row[i_value]!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {lineno}: non-finite {noun}")
+            yield lineno, day, key, value
+
+
+def _bucketed_series(per_asset: dict[str, dict[dt.date, float]]) -> list[PriceSeries]:
+    """One date-sorted PriceSeries per asset, in asset-id order."""
+    if not per_asset:
+        raise DataError("no price records found")
+    out = []
+    for asset in sorted(per_asset):
+        days = sorted(per_asset[asset])
+        out.append(PriceSeries(asset, days, np.array([per_asset[asset][d] for d in days])))
+    return out
+
+
 def load_price_series(source: str | Path | TextIO, schema: ColumnSchema | None = None) -> list[PriceSeries]:
     """Parse delimited price records into one sorted PriceSeries per asset.
 
-    Each record needs an ISO-8601 date, an asset id and a positive price.
-    Bad records are hard errors naming the offending line; duplicate
+    Each record needs an ISO-8601 date, an asset id and a positive, finite
+    price. Bad records are hard errors naming the offending line; duplicate
     (asset, date) pairs are rejected rather than silently overwritten.
     """
     schema = schema or ColumnSchema()
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_price_series(fh, schema)
-
-    reader = csv.reader(source, delimiter=schema.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
-    header = [h.strip() for h in header]
-    try:
-        i_date = header.index(schema.date)
-        i_asset = header.index(schema.asset)
-        i_price = header.index(schema.price)
-    except ValueError:
-        raise DataError(
-            f"header {header} is missing one of the mapped columns "
-            f"({schema.date!r}, {schema.asset!r}, {schema.price!r})"
-        ) from None
-
+    records = _read_records(source, schema.date, schema.price, schema.delimiter, "price", schema.asset)
     per_asset: dict[str, dict[dt.date, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(i_date, i_asset, i_price):
-            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            day = dt.date.fromisoformat(row[i_date].strip())
-        except ValueError:
-            raise DataError(f"line {lineno}: unparseable date {row[i_date]!r}") from None
-        asset = row[i_asset].strip()
-        if not asset:
-            raise DataError(f"line {lineno}: empty asset id")
-        try:
-            price = float(row[i_price])
-        except ValueError:
-            raise DataError(f"line {lineno}: unparseable price {row[i_price]!r}") from None
+    for lineno, day, asset, price in records:
         if price <= 0:
             raise DataError(f"line {lineno}: non-positive price {price} for {asset}")
         bucket = per_asset.setdefault(asset, {})
         if day in bucket:
             raise DataError(f"line {lineno}: duplicate record for ({asset}, {day})")
         bucket[day] = price
-
-    if not per_asset:
-        raise DataError("no price records found")
-
-    out = []
-    for asset in sorted(per_asset):
-        days = sorted(per_asset[asset])
-        out.append(PriceSeries(asset, days, np.array([per_asset[asset][d] for d in days])))
-    return out
+    return _bucketed_series(per_asset)
 
 
 def merge_price_series(groups: Iterable[list[PriceSeries]]) -> list[PriceSeries]:
@@ -171,13 +198,7 @@ def merge_price_series(groups: Iterable[list[PriceSeries]]) -> list[PriceSeries]
                 if day in bucket:
                     raise DataError(f"duplicate record for ({s.asset_id}, {day}) across inputs")
                 bucket[day] = float(price)
-    if not per_asset:
-        raise DataError("no price records found")
-    out = []
-    for asset in sorted(per_asset):
-        days = sorted(per_asset[asset])
-        out.append(PriceSeries(asset, days, np.array([per_asset[asset][d] for d in days])))
-    return out
+    return _bucketed_series(per_asset)
 
 
 def load_value_series(
@@ -191,33 +212,8 @@ def load_value_series(
     Values only need to be finite numbers. Rows may arrive in any order;
     they are sorted by date and duplicate dates are rejected.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_value_series(fh, date_col, value_col, delimiter)
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
-    try:
-        i_date = header.index(date_col)
-        i_value = header.index(value_col)
-    except ValueError:
-        raise DataError(f"header {header} is missing {date_col!r} or {value_col!r}") from None
     seen: dict[dt.date, float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            day = dt.date.fromisoformat(row[i_date].strip())
-        except (ValueError, IndexError):
-            raise DataError(f"line {lineno}: unparseable date") from None
-        try:
-            value = float(row[i_value])
-        except (ValueError, IndexError):
-            raise DataError(f"line {lineno}: unparseable value") from None
-        if not np.isfinite(value):
-            raise DataError(f"line {lineno}: non-finite value {value}")
+    for lineno, day, _, value in _read_records(source, date_col, value_col, delimiter, "value"):
         if day in seen:
             raise DataError(f"line {lineno}: duplicate date {day}")
         seen[day] = value

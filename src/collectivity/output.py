@@ -151,11 +151,5 @@ def write_fit_record(path: str | Path, result: LpplFitResult, origin: dt.date | 
     write_json(path, fit_record(result, origin))
 
 
-def write_fit_curve(path: str | Path, times, observed, fitted, dates: Sequence[dt.date] | None = None) -> None:
-    if dates is None:
-        header = ["time", "observed", "fitted"]
-        rows = zip(times, observed, fitted)
-    else:
-        header = ["date", "time", "observed", "fitted"]
-        rows = zip(dates, times, observed, fitted)
-    write_tsv(path, header, rows)
+def write_fit_curve(path: str | Path, times, observed, fitted) -> None:
+    write_tsv(path, ["time", "observed", "fitted"], zip(times, observed, fitted))

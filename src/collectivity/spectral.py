@@ -187,21 +187,24 @@ def spectrum_trace(matrices: Sequence[CorrelationMatrix]) -> RollingSpectrumTrac
             spectrum = eigendecompose(m)
         except (DataError, NumericError) as exc:
             raise type(exc)(f"window ending {m.window.end}: {exc}") from exc
+        # Copy the leading vector: a column view would keep the whole N x N
+        # eigenvector matrix of every window alive.
         snapshots.append(
-            SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector)
+            SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector.copy())
         )
     return RollingSpectrumTrace(snapshots)
 
 
-def collectivity_metrics(spectrum: EigenSpectrum) -> CollectivityMetrics:
+def collectivity_metrics(spectrum: EigenSpectrum | SpectrumSnapshot) -> CollectivityMetrics:
     """Gap ratio, dominance and participation ratio of the leading mode."""
-    if spectrum.n < 2:
+    n = len(spectrum.eigenvalues)
+    if n < 2:
         raise DataError("collectivity metrics need at least 2 eigenvalues")
     top, second = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[1])
     # A second eigenvalue at numerical zero makes the gap the infinity sentinel.
     gap = top / second if second > RESIDUAL_TOL else math.inf
     v = spectrum.leading_vector
-    return CollectivityMetrics(gap, top / spectrum.n, float(1.0 / np.sum(v**4)))
+    return CollectivityMetrics(gap, top / n, float(1.0 / np.sum(v**4)))
 
 
 def _coerce_eigenvalue_sets(source) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,50 @@ class TestLpplCommands:
         assert rc == 0
         record = json.loads((out / "extrema.json").read_text())
         assert record["lambda_estimate"] == pytest.approx(2.0, rel=0.05)
+
+
+class TestGridNodes:
+    @pytest.fixture
+    def fit_configs(self, monkeypatch):
+        configs = []
+        fit_model = lppl.fit_model
+
+        def capture(times, values, config=None):
+            configs.append(config)
+            return fit_model(times, values, config)
+
+        monkeypatch.setattr(lppl, "fit_model", capture)
+        return configs
+
+    def test_node_count_alone_keeps_the_default_span(self, lppl_series_csv, tmp_path, fit_configs):
+        rc = main(["lppl-fit", "--input", str(lppl_series_csv), "--tc-nodes", "7",
+                   "--lam-nodes", "5", "--alpha-nodes", "3", "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        (config,) = fit_configs
+        assert len(config.tc_grid) == 7
+        assert len(config.lam_grid) == 5
+        assert len(config.alpha_grid) == 3
+        times = np.arange(0.0, 361.0, 2.0)
+        defaults = lppl.default_fit_config(times)
+        assert config.tc_grid[0] == defaults.tc_grid[0]
+        assert config.tc_grid[-1] == defaults.tc_grid[-1]
+        assert (config.lam_grid[0], config.lam_grid[-1]) == (1.5, 3.5)
+        assert (config.alpha_grid[0], config.alpha_grid[-1]) == (-1.0, 1.0)
+
+    def test_no_grid_flags_give_the_default_grids(self, lppl_series_csv, tmp_path, fit_configs):
+        rc = main(["lppl-fit", "--input", str(lppl_series_csv), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        (config,) = fit_configs
+        defaults = lppl.default_fit_config(np.arange(0.0, 361.0, 2.0))
+        for name in ("tc_grid", "lam_grid", "alpha_grid"):
+            assert np.array_equal(getattr(config, name), getattr(defaults, name))
+
+    def test_half_given_bounds_are_a_usage_error(self, lppl_series_csv, tmp_path, capsys):
+        rc = main(["lppl-fit", "--input", str(lppl_series_csv), "--tc-min", "400",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert "min/max pair" in record["message"]
 
 
 class TestOracleCommands:
@@ -276,6 +321,22 @@ class TestErrorSurface:
         assert rc == 3
         record = json.loads(captured.err.splitlines()[-1])
         assert record["error"] == "numeric"
+
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_is_a_data_error_without_warnings(self, tmp_path, capsys, price):
+        bad = tmp_path / "bad.csv"
+        rows = [f"2020-01-{d:02d},{a},{100.0 + d + i}" for d in range(1, 11) for i, a in enumerate("AB")]
+        rows[5] = rows[5].rsplit(",", 1)[0] + "," + price
+        bad.write_text("date,asset,price\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["spectrum", "--input", str(bad), "--window-length", "5",
+                       "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        record = json.loads(line)
+        assert record == {"error": "data", "message": "line 7: non-finite price"}
 
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["returns", "--input", str(tmp_path / "absent.csv")])

@@ -59,6 +59,11 @@ class TestLoadPriceSeries:
         with pytest.raises(DataError, match="line 2"):
             load_price_series(csv_stream("date,asset,price\nnot-a-date,A,1.0"))
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf"])
+    def test_non_finite_price_names_the_row(self, price):
+        with pytest.raises(DataError, match="line 3: non-finite price"):
+            load_price_series(csv_stream(f"date,asset,price\n2020-01-01,A,1.0\n2020-01-02,A,{price}"))
+
     def test_empty_input_is_an_error(self):
         with pytest.raises(DataError, match="no price records"):
             load_price_series(csv_stream("date,asset,price"))
