@@ -190,7 +190,7 @@ def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
     out = _ensure_out_dir(out_dir)
     panel = _load_panel(inputs, _schema(date_col, asset_col, price_col, delimiter), tau, min_coverage)
-    trace = spectral.spectrum_trace(corr.rolling_correlation(panel, window_length, step))
+    trace = spectral.spectrum_trace(corr.rolling_windows(panel, window_length, step))
     files = ["spectrum_trace.tsv"]
     output.write_spectrum_trace(out / "spectrum_trace.tsv", trace)
     if vectors:
@@ -224,7 +224,7 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     panel_a = _load_panel(inputs_a, schema, tau, min_coverage)
     panel_b = _load_panel(inputs_b, schema, tau, min_coverage)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
-    trace = spectral.spectrum_trace(corr.rolling_correlation(merged, window_length, step))
+    trace = spectral.spectrum_trace(corr.rolling_windows(merged, window_length, step))
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
         f"lambda_{i + 1}" for i in range(merged.n_assets)
     ]
@@ -232,8 +232,8 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     output.write_tsv(
         out / "global_trace.tsv",
         header,
-        ([s.window_end, m.gap_ratio, m.dominance, m.participation_ratio, *s.eigenvalues]
-         for s, m in zip(trace.snapshots, metrics)),
+        ([s.window_end, m.gap_ratio, m.dominance, m.participation_ratio]
+         + s.eigenvalues.tolist() for s, m in zip(trace.snapshots, metrics)),
     )
     output.write_json(
         out / "global_blocks.json",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -99,21 +100,34 @@ def correlation_matrix(
     return CorrelationMatrix(list(panel.assets), entries, info, block_split)
 
 
-def rolling_correlation(panel: ReturnPanel, window_length: int, step: int = 1) -> list[CorrelationMatrix]:
-    """One correlation matrix per window, windows advancing by step days."""
+def rolling_windows(panel: ReturnPanel, window_length: int, step: int = 1) -> Iterator[CorrelationMatrix]:
+    """Correlation matrices of the windows advancing by step days, built one at a time.
+
+    The arguments are checked when this is called, not at the first next(),
+    so a bad window or step fails before any work starts. Only the matrix
+    the consumer holds is alive, so memory stays O(N^2) over any number of
+    windows.
+    """
     if window_length < 2:
         raise DataError(f"window_length must be >= 2, got {window_length}")
     if step < 1:
         raise DataError(f"step must be >= 1, got {step}")
     if panel.n_dates < window_length:
         raise DataError(f"panel has {panel.n_dates} dates, shorter than window {window_length}")
-    out = []
-    for lo in range(0, panel.n_dates - window_length + 1, step):
-        hi = lo + window_length
-        info = WindowInfo(panel.dates[lo], panel.dates[hi - 1], window_length)
-        entries = _correlation_entries(panel.returns[:, lo:hi], panel.assets, info)
-        out.append(CorrelationMatrix(list(panel.assets), entries, info))
-    return out
+
+    def windows() -> Iterator[CorrelationMatrix]:
+        for lo in range(0, panel.n_dates - window_length + 1, step):
+            hi = lo + window_length
+            info = WindowInfo(panel.dates[lo], panel.dates[hi - 1], window_length)
+            entries = _correlation_entries(panel.returns[:, lo:hi], panel.assets, info)
+            yield CorrelationMatrix(list(panel.assets), entries, info)
+
+    return windows()
+
+
+def rolling_correlation(panel: ReturnPanel, window_length: int, step: int = 1) -> list[CorrelationMatrix]:
+    """One correlation matrix per window, windows advancing by step days, all held at once."""
+    return list(rolling_windows(panel, window_length, step))
 
 
 def merge_panels(panel_a: ReturnPanel, panel_b: ReturnPanel, shift_days: int = 0) -> ReturnPanel:

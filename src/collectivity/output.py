@@ -24,6 +24,9 @@ from .spectral import RollingSpectrumTrace
 
 
 def format_cell(value) -> str:
+    # Floats first: they are nearly every cell of a trace. np.float64 is a float.
+    if isinstance(value, float):
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, dt.date):
@@ -39,7 +42,7 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(format_cell(cell) for cell in row) + "\n")
+            fh.write("\t".join(map(format_cell, row)) + "\n")
 
 
 def write_json(path: str | Path, record: dict) -> None:
@@ -94,7 +97,7 @@ def write_spectrum_trace(path: str | Path, trace: RollingSpectrumTrace) -> None:
     """Columns: window_end_date, lambda_1 ... lambda_N (descending)."""
     n = len(trace.snapshots[0].eigenvalues)
     header = ["window_end_date"] + [f"lambda_{i + 1}" for i in range(n)]
-    rows = ([s.window_end] + list(s.eigenvalues) for s in trace.snapshots)
+    rows = ([s.window_end] + s.eigenvalues.tolist() for s in trace.snapshots)
     write_tsv(path, header, rows)
 
 
@@ -120,7 +123,7 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
 
 def write_leading_vectors(path: str | Path, trace: RollingSpectrumTrace, assets: Sequence[str]) -> None:
     header = ["window_end_date"] + list(assets)
-    rows = ([s.window_end] + list(s.leading_vector) for s in trace.snapshots)
+    rows = ([s.window_end] + s.leading_vector.tolist() for s in trace.snapshots)
     write_tsv(path, header, rows)
 
 

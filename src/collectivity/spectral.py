@@ -22,7 +22,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -143,18 +143,22 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     sym = 0.5 * (matrix + matrix.T)
     values, vectors = np.linalg.eigh(sym)
     vectors = _fix_signs(vectors)
-    order = sorted(range(len(values)), key=lambda k: (-values[k], vectors[:, k].tolist()))
+    order = np.argsort(-values, kind="stable")
+    if np.any(values[order[1:]] == values[order[:-1]]):
+        # Key (-lambda, eigenvector components): lexsort's last row is the primary key.
+        order = np.lexsort(np.vstack([vectors[::-1], -values[None]]))
     values = values[order]
     vectors = vectors[:, order]
 
+    # The checks are written as `not (x <= tol)` so that a NaN defect fails them.
     n = len(values)
     residual = sym @ vectors - vectors * values
     worst = float(np.max(np.sqrt(np.einsum("ij,ij->j", residual, residual)))) if n else 0.0
-    if worst > RESIDUAL_TOL * max(n, 1):
+    if not worst <= RESIDUAL_TOL * max(n, 1):
         raise NumericError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL * n:.3e}")
     gram = vectors.T @ vectors
     ortho = float(np.max(np.abs(gram - np.eye(n))))
-    if ortho > RESIDUAL_TOL:
+    if not ortho <= RESIDUAL_TOL:
         raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
     return values, vectors
 
@@ -177,10 +181,13 @@ def portfolio_variance(matrix: CorrelationMatrix, weights: Sequence[float]) -> f
     return float(weights @ matrix.entries @ weights)
 
 
-def spectrum_trace(matrices: Sequence[CorrelationMatrix]) -> RollingSpectrumTrace:
-    """Eigendecompose each window and keep eigenvalues plus the leading eigenvector."""
-    if not matrices:
-        raise DataError("spectrum_trace needs at least one matrix")
+def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrace:
+    """Eigendecompose each window and keep eigenvalues plus the leading eigenvector.
+
+    matrices may be a generator such as corr.rolling_windows. A matrix is
+    released once its snapshot is taken, so memory stays O(N^2) however many
+    windows there are.
+    """
     snapshots = []
     for m in matrices:
         try:
@@ -192,6 +199,8 @@ def spectrum_trace(matrices: Sequence[CorrelationMatrix]) -> RollingSpectrumTrac
         snapshots.append(
             SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector.copy())
         )
+    if not snapshots:
+        raise DataError("spectrum_trace needs at least one matrix")
     return RollingSpectrumTrace(snapshots)
 
 

@@ -338,6 +338,31 @@ class TestErrorSurface:
         record = json.loads(line)
         assert record == {"error": "data", "message": "line 7: non-finite price"}
 
+    def test_flat_asset_in_a_middle_window_names_asset_and_window(self, tmp_path, capsys):
+        # B's price holds still from 2020-01-11 to 2020-01-21, so its returns
+        # labelled 2020-01-11 .. 2020-01-20 are exactly zero; the first window
+        # of 5 inside that stretch is the first to fail, after earlier good ones.
+        origin = dt.date(2020, 1, 1)
+        rows = []
+        for d in range(30):
+            day = (origin + dt.timedelta(days=d)).isoformat()
+            a = 100.0 + d + 3 * np.sin(d)
+            b = 80.0 if 10 <= d <= 20 else 50.0 + d + 2 * np.cos(1.7 * d)
+            c = 70.0 + 0.5 * d + np.sin(2.3 * d)
+            rows += [f"{day},{asset},{float(price)!r}" for asset, price in zip("ABC", (a, b, c))]
+        prices = tmp_path / "flat.csv"
+        prices.write_text("date,asset,price\n" + "\n".join(rows) + "\n")
+        rc = main(["spectrum", "--input", str(prices), "--window-length", "5",
+                   "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "data",
+            "message": "zero volatility for B in window [2020-01-11, 2020-01-15]: "
+                       "correlation undefined",
+        }
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["returns", "--input", str(tmp_path / "absent.csv")])
         assert rc == 1

@@ -10,6 +10,7 @@ from collectivity.corr import (
     global_correlation,
     merge_panels,
     rolling_correlation,
+    rolling_windows,
 )
 from collectivity.errors import DataError
 from collectivity.marketdata import ReturnPanel
@@ -139,6 +140,32 @@ class TestRollingCorrelation:
         mean = np.mean(estimates)
         stderr = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
         assert abs(mean - rho) < 3 * stderr
+
+
+class TestRollingWindows:
+    def test_stream_equals_the_list_bitwise(self, rng):
+        panel = panel_from_rows(rng.normal(size=(6, 75)))
+        streamed = list(rolling_windows(panel, 20, step=3))
+        held = rolling_correlation(panel, 20, step=3)
+        assert len(streamed) == len(held) == 19
+        for a, b in zip(streamed, held):
+            single = correlation_matrix(panel, (a.window.start, a.window.end))
+            assert a.assets == b.assets == single.assets
+            assert a.window == b.window == single.window
+            assert a.block_split is None and b.block_split is None
+            assert a.entries.tobytes() == b.entries.tobytes() == single.entries.tobytes()
+
+    @pytest.mark.parametrize(
+        "window_length, step, n_dates, message",
+        [(1, 1, 30, "window_length must be >= 2"),
+         (10, 0, 30, "step must be >= 1"),
+         (31, 1, 30, "shorter than window 31")],
+    )
+    def test_bad_arguments_raise_before_the_first_next(self, rng, window_length, step, n_dates,
+                                                       message):
+        panel = panel_from_rows(rng.normal(size=(3, n_dates)))
+        with pytest.raises(DataError, match=message):
+            rolling_windows(panel, window_length, step)
 
 
 class TestGlobalCorrelation:

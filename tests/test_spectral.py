@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from collectivity.corr import CorrelationMatrix, WindowInfo, correlation_matrix, rolling_correlation
-from collectivity.errors import DataError
+from collectivity.errors import DataError, NumericError
 from collectivity.spectral import (
     collectivity_metrics,
     eigendecompose,
@@ -95,6 +95,43 @@ class TestEigendecompose:
         b = eigendecompose(as_corr(np.eye(4)))
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_overflowing_input_is_a_numeric_error_not_nan_eigenpairs(self):
+        # Finite and symmetric, but symmetrising overflows and LAPACK returns NaN.
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            symmetric_eigendecomposition([[1e308, 1e308], [1e308, 1e308]])
+
+
+def sorted_key_oracle(matrix):
+    """The tie-break rule as a Python sort: descending eigenvalue, then the
+    lexicographically smallest sign-fixed eigenvector."""
+    values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    cols = np.arange(vectors.shape[1])
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), cols] < 0
+    vectors = vectors * np.where(flip, -1.0, 1.0)
+    order = sorted(range(len(values)), key=lambda k: (-values[k], vectors[:, k].tolist()))
+    return values[order], vectors[:, order]
+
+
+class TestEigenpairOrder:
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(4), np.kron(np.eye(3), np.ones((2, 2))), np.diag([2.0, 1.0, 1.0, 2.0, 0.5])],
+        ids=["eye4", "kron-blocks", "diag-ties"],
+    )
+    def test_exact_ties_follow_the_sorted_key(self, matrix):
+        values, vectors = symmetric_eigendecomposition(matrix)
+        want_values, want_vectors = sorted_key_oracle(matrix)
+        assert np.any(values[1:] == values[:-1])
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
+    def test_distinct_eigenvalues_follow_the_sorted_key(self):
+        matrix = correlation_matrix(random_panel(12, 60, 21)).entries
+        values, vectors = symmetric_eigendecomposition(matrix)
+        want_values, want_vectors = sorted_key_oracle(matrix)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
 
 class TestPortfolioVariance:
     def test_unit_vector_returns_unit_diagonal(self, rng):
@@ -148,6 +185,10 @@ class TestSpectrumTrace:
     def test_empty_input_is_an_error(self):
         with pytest.raises(DataError, match="at least one"):
             spectrum_trace([])
+
+    def test_empty_generator_is_an_error(self):
+        with pytest.raises(DataError, match="at least one"):
+            spectrum_trace(m for m in [])
 
     def test_errors_carry_window_identification(self):
         good = correlation_matrix(random_panel(3, 30, 9))
