@@ -257,7 +257,9 @@ def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -
         raise click.UsageError("grid bounds must be given as a min/max pair")
     if hi < lo:
         raise click.UsageError(f"grid bounds out of order: [{lo}, {hi}]")
-    return np.linspace(lo, hi, nodes)
+    # Non-finite bounds give a non-finite grid, which FitConfig rejects by name.
+    with np.errstate(invalid="ignore"):
+        return np.linspace(lo, hi, nodes)
 
 
 @cli.command(name="lppl-fit")

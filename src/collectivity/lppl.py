@@ -145,23 +145,29 @@ def check_scale_invariance(alpha: float, lam: float, gamma: float, x_grid=None) 
     return float(np.max(np.abs((lam * x) ** alpha - gamma * x**alpha)))
 
 
+def _grid_array(values, name: str) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if grid.size == 0:
+        raise DataError(f"{name} grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise DataError(f"{name} grid has a non-finite node: {grid[~np.isfinite(grid)][0]}")
+    return grid
+
+
 @dataclass
 class FitConfig:
-    """Search grids and refinement settings for fit_model."""
+    """Search grids, model variant and direction for fit_model."""
 
     tc_grid: np.ndarray
     lam_grid: np.ndarray
     alpha_grid: np.ndarray
     variant: str = "cosine"
     direction: str = "bubble"
-    phi_scan_points: int = PHI_SCAN_POINTS
-    refine_tol: float = REFINE_TOL
-    max_refine_sweeps: int = MAX_REFINE_SWEEPS
 
     def __post_init__(self) -> None:
-        self.tc_grid = np.atleast_1d(np.asarray(self.tc_grid, dtype=float))
-        self.lam_grid = np.atleast_1d(np.asarray(self.lam_grid, dtype=float))
-        self.alpha_grid = np.atleast_1d(np.asarray(self.alpha_grid, dtype=float))
+        self.tc_grid = _grid_array(self.tc_grid, "t_c")
+        self.lam_grid = _grid_array(self.lam_grid, "lam")
+        self.alpha_grid = _grid_array(self.alpha_grid, "alpha")
         if np.any(self.lam_grid <= 1.0):
             raise DataError("lam grid must lie strictly above 1")
         if self.variant not in VARIANTS:
@@ -235,120 +241,99 @@ def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
     return sse, a, b, phi_out
 
 
-def _grid_stage_cosine(times, y, config, diag):
+def _grid_stage(times, y, config, diag):
+    """Scan every (t_c, lam, alpha[, phi]) node; return (grid_sse, best node or None).
+
+    The oscillation columns b_j of one lam (and phi) are cos(theta), sin(theta)
+    for "cosine" (phi = 0 only) and |cos(theta + phi)| over the phi scan for
+    "abs-cosine". With env = x**alpha, each Gram entry for all (alpha, lam*phi)
+    nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T, and each
+    right-hand side is (env * y) @ b_j.T. Ties resolve to the first node in
+    (lam, alpha, phi, t_c) order.
+    """
     tc_grid = config.tc_grid
-    n_tc = len(tc_grid)
     if config.direction == "bubble":
         x = tc_grid[:, None] - times[None, :]
     else:
         x = times[None, :] - tc_grid[:, None]
     logx = np.log(x)
     y_sq = float(y @ y)
-
-    best = (math.inf, None)
-    for lam in config.lam_grid:
-        omega = 2.0 * math.pi / math.log(lam)
-        cos_t = np.cos(omega * logx)
-        sin_t = np.sin(omega * logx)
-        for alpha in config.alpha_grid:
-            with np.errstate(over="ignore", invalid="ignore"):
-                env = np.exp(alpha * logx)
-                p = env * env
-                pc = p * cos_t
-                ps = p * sin_t
-                g00 = p.sum(axis=1)
-                g01 = pc.sum(axis=1)
-                g02 = ps.sum(axis=1)
-                g11 = np.einsum("ij,ij->i", pc, cos_t)
-                g12 = np.einsum("ij,ij->i", pc, sin_t)
-                g22 = np.einsum("ij,ij->i", ps, sin_t)
-                b0 = env @ y
-                b1 = (env * cos_t) @ y
-                b2 = (env * sin_t) @ y
-
-            gram = np.empty((n_tc, 3, 3))
-            gram[:, 0, 0] = g00
-            gram[:, 0, 1] = gram[:, 1, 0] = g01
-            gram[:, 0, 2] = gram[:, 2, 0] = g02
-            gram[:, 1, 1] = g11
-            gram[:, 1, 2] = gram[:, 2, 1] = g12
-            gram[:, 2, 2] = g22
-            rhs = np.stack([b0, b1, b2], axis=1)
-
-            diag.grid_nodes += n_tc
-            scale = np.sqrt(np.stack([g00, g11, g22], axis=1))
-            ok = np.all(np.isfinite(gram.reshape(n_tc, -1)), axis=1)
-            ok &= np.all(np.isfinite(rhs), axis=1) & np.all(scale > 0.0, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                normalized = gram / scale[:, :, None] / scale[:, None, :]
-                det = np.linalg.det(np.where(np.isfinite(normalized), normalized, 0.0))
-            ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
-            diag.nodes_skipped += int(n_tc - ok.sum())
-            if not ok.any():
-                continue
-
-            sol = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-            sse = y_sq - np.einsum("ij,ij->i", sol, rhs[ok])
-            j = int(np.argmin(sse))
-            if sse[j] < best[0]:
-                idx = int(np.flatnonzero(ok)[j])
-                best = (_sse_floor(sse[j]), (float(tc_grid[idx]), float(lam), float(alpha), None))
-    return best
-
-
-def _grid_stage_abs(times, y, config, diag):
-    tc_grid = config.tc_grid
-    n_tc = len(tc_grid)
-    if config.direction == "bubble":
-        x = tc_grid[:, None] - times[None, :]
+    # math.log as in _node_solve, so both stages see the same frequency for a node.
+    omegas = np.array([2.0 * math.pi / math.log(lam) for lam in config.lam_grid])
+    alphas = config.alpha_grid
+    if config.variant == "cosine":
+        phis, n_osc = np.zeros(1), 2
     else:
-        x = times[None, :] - tc_grid[:, None]
-    logx = np.log(x)
-    y_sq = float(y @ y)
-    phis = np.arange(config.phi_scan_points) * (math.pi / config.phi_scan_points)
+        phis, n_osc = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS), 1
+    n_cols = len(omegas) * len(phis)
+    # Work buffers shared by every t_c row: the oscillation columns and one product of them.
+    basis = np.empty((n_osc, n_cols, len(times)))
+    product = np.empty((n_cols, len(times)))
+    size = 1 + n_osc
 
-    best = (math.inf, None)
-    for lam in config.lam_grid:
-        omega = 2.0 * math.pi / math.log(lam)
-        theta = omega * logx
-        osc = np.abs(np.cos(theta[None, :, :] + phis[:, None, None]))
-        for alpha in config.alpha_grid:
-            with np.errstate(over="ignore", invalid="ignore"):
-                env = np.exp(alpha * logx)
-                g00 = np.einsum("ij,ij->i", env, env)
-                b0 = env @ y
-                g = env[None, :, :] * osc
-                g01 = np.einsum("kij,ij->ki", g, env)
-                g11 = np.einsum("kij,kij->ki", g, g)
-                b1 = np.einsum("kij,j->ki", g, y)
+    best_sse = np.full((len(alphas), n_cols), np.inf)
+    best_row = np.zeros(best_sse.shape, dtype=int)
+    for row, logx_row in enumerate(logx):
+        theta = omegas[:, None] * logx_row[None, :]
+        if config.variant == "cosine":
+            np.cos(theta, out=basis[0])
+            np.sin(theta, out=basis[1])
+        else:
+            shifted = basis[0].reshape(len(omegas), len(phis), -1)
+            np.add(theta[:, None, :], phis[None, :, None], out=shifted)
+            np.abs(np.cos(shifted, out=shifted), out=shifted)
 
-            diag.grid_nodes += n_tc * len(phis)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                det = g00[None, :] * g11 - g01**2
-                det_norm = det / (g00[None, :] * g11)
-                a_hat = (g11 * b0[None, :] - g01 * b1) / det
-                b_hat = (g00[None, :] * b1 - g01 * b0[None, :]) / det
-            ok = (
-                np.isfinite(det_norm) & (det_norm > DEGENERACY_TOL)
-                & np.isfinite(a_hat) & np.isfinite(b_hat) & (g00[None, :] > 0.0)
-            )
-            diag.nodes_skipped += int(ok.size - ok.sum())
-            if not ok.any():
-                continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            env = np.exp(alphas[:, None] * logx_row[None, :])
+            env_sq = env * env
+            gram = np.empty(best_sse.shape + (size, size))
+            rhs = np.empty(best_sse.shape + (size,))
+            gram[..., 0, 0] = env_sq.sum(axis=1)[:, None]
+            rhs[..., 0] = (env @ y)[:, None]
+            env_y = env * y
+            for j in range(n_osc):
+                gram[..., 0, j + 1] = gram[..., j + 1, 0] = env_sq @ basis[j].T
+                rhs[..., j + 1] = env_y @ basis[j].T
+                for k in range(j, n_osc):
+                    np.multiply(basis[j], basis[k], out=product)
+                    gram[..., j + 1, k + 1] = gram[..., k + 1, j + 1] = env_sq @ product.T
 
-            sse = np.where(
-                b_hat >= 0.0,
-                y_sq - (a_hat * b0[None, :] + b_hat * b1),
-                y_sq - np.where(g00[None, :] > 0, b0[None, :] ** 2 / g00[None, :], np.inf),
-            )
-            sse = np.where(ok, sse, np.inf)
-            k, i = np.unravel_index(int(np.argmin(sse)), sse.shape)
-            if sse[k, i] < best[0]:
-                best = (
-                    _sse_floor(sse[k, i]),
-                    (float(tc_grid[i]), float(lam), float(alpha), float(phis[k])),
-                )
-    return best
+        scale = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+        ok = np.all(np.isfinite(gram), axis=(-2, -1)) & np.all(np.isfinite(rhs), axis=-1)
+        ok &= np.all(scale > 0.0, axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normalized = gram / scale[..., :, None] / scale[..., None, :]
+            det = np.linalg.det(np.where(np.isfinite(normalized), normalized, 0.0))
+        ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
+        diag.grid_nodes += ok.size
+        diag.nodes_skipped += int(ok.size - ok.sum())
+        if not ok.any():
+            continue
+
+        gram_ok, rhs_ok = gram[ok], rhs[ok]
+        sol = np.linalg.solve(gram_ok, rhs_ok[:, :, None])[:, :, 0]
+        sse_ok = y_sq - np.einsum("ij,ij->i", sol, rhs_ok)
+        if config.variant == "abs-cosine":
+            # B >= 0 by convention; the constrained optimum sits on the boundary.
+            boundary = sol[:, 1] < 0.0
+            sse_ok[boundary] = y_sq - rhs_ok[boundary, 0] ** 2 / gram_ok[boundary, 0, 0]
+        sse = np.full(ok.shape, np.inf)
+        sse[ok] = sse_ok
+        better = sse < best_sse
+        best_sse[better] = sse[better]
+        best_row[better] = row
+
+    # Reorder (alpha, lam, phi) to grid order so that argmin takes the first of equal minima.
+    shape = (len(alphas), len(omegas), len(phis))
+    best_sse = best_sse.reshape(shape).transpose(1, 0, 2)
+    best_row = best_row.reshape(shape).transpose(1, 0, 2)
+    i_lam, i_alpha, i_phi = np.unravel_index(np.argmin(best_sse), best_sse.shape)
+    grid_sse = best_sse[i_lam, i_alpha, i_phi]
+    if grid_sse == math.inf:
+        return math.inf, None
+    phi = None if config.variant == "cosine" else float(phis[i_phi])
+    tc = float(tc_grid[best_row[i_lam, i_alpha, i_phi]])
+    return _sse_floor(grid_sse), (tc, float(config.lam_grid[i_lam]), float(alphas[i_alpha]), phi)
 
 
 def _refine(times, y, config, start, diag):
@@ -399,7 +384,7 @@ def _refine(times, y, config, start, diag):
         grid_step(config.tc_grid, 0.1 * span),
         grid_step(config.lam_grid, 0.1),
         grid_step(config.alpha_grid, 0.1),
-        math.pi / config.phi_scan_points,
+        math.pi / PHI_SCAN_POINTS,
     ]
     initial_steps = list(steps)
 
@@ -407,7 +392,7 @@ def _refine(times, y, config, start, diag):
     # improvement comparisons are apples to apples.
     best_sse = objective(params)
     sweeps = 0
-    while sweeps < config.max_refine_sweeps:
+    while sweeps < MAX_REFINE_SWEEPS:
         sweeps += 1
         before = best_sse
         for i in range(n_coords):
@@ -422,7 +407,7 @@ def _refine(times, y, config, start, diag):
                     best_sse = sse
                     params = trial
         change = (before - best_sse) / before if before > 0 else 0.0
-        if change < config.refine_tol:
+        if change < REFINE_TOL:
             steps = [0.5 * s for s in steps]
             if max(s / s0 for s, s0 in zip(steps, initial_steps)) < 1e-6:
                 break
@@ -453,10 +438,7 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
     config = replace(config, tc_grid=tc_grid)
 
     diag = FitDiagnostics()
-    if config.variant == "cosine":
-        grid_sse, node = _grid_stage_cosine(times, values, config, diag)
-    else:
-        grid_sse, node = _grid_stage_abs(times, values, config, diag)
+    grid_sse, node = _grid_stage(times, values, config, diag)
     if node is None:
         raise NumericError("all grid nodes had rank-deficient normal equations")
     diag.grid_sse = grid_sse

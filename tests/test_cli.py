@@ -322,6 +322,21 @@ class TestErrorSurface:
         record = json.loads(captured.err.splitlines()[-1])
         assert record["error"] == "numeric"
 
+    @pytest.mark.parametrize(("grid", "bound"), [("alpha", "nan"), ("lam", "inf")])
+    def test_non_finite_grid_is_a_data_error_without_warnings(self, tmp_path, capsys,
+                                                             lppl_series_csv, grid, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["lppl-fit", "--input", str(lppl_series_csv),
+                       f"--{grid}-min", bound, f"--{grid}-max", bound,
+                       "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "data"
+        assert record["message"].startswith(f"{grid} grid has a non-finite node")
+
     @pytest.mark.parametrize("price", ["nan", "inf"])
     def test_non_finite_price_is_a_data_error_without_warnings(self, tmp_path, capsys, price):
         bad = tmp_path / "bad.csv"

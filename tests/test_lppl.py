@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from collectivity.errors import DataError, NumericError
 from collectivity.lppl import (
+    DIRECTIONS,
+    PHI_SCAN_POINTS,
+    VARIANTS,
     FitConfig,
+    FitDiagnostics,
     LogPeriodicModel,
+    _grid_stage,
+    _node_solve,
     check_scale_invariance,
     default_fit_config,
+    distance_to_critical,
     evaluate_model,
     extrema_progression,
     fit_model,
@@ -239,6 +246,66 @@ class TestFitModel:
         anti = default_fit_config(t, direction="antibubble")
         assert anti.tc_grid[0] == pytest.approx(-200.0)
         assert anti.tc_grid[-1] == pytest.approx(0.0)
+
+
+class TestFitConfigGrids:
+    NAMES = {"tc_grid": "t_c", "lam_grid": "lam", "alpha_grid": "alpha"}
+
+    @pytest.mark.parametrize("grid", list(NAMES))
+    @pytest.mark.parametrize("bad", [[], [math.nan], [2.0, math.inf]])
+    def test_empty_or_non_finite_grid_is_rejected_by_name(self, grid, bad):
+        grids = {"tc_grid": [400.0], "lam_grid": [2.0], "alpha_grid": [0.5], grid: bad}
+        with pytest.raises(DataError, match=rf"^{self.NAMES[grid]} grid (is empty|has a non-finite)"):
+            FitConfig(**grids)
+
+
+class TestGridStage:
+    """The batched grid stage picks the node a node-by-node search picks."""
+
+    @staticmethod
+    def reference_search(times, y, config):
+        # Every node through _node_solve, in (lam, alpha, phi, t_c) order; first strict minimum.
+        if config.variant == "cosine":
+            phis = [None]
+        else:
+            phis = [float(p) for p in np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)]
+        best_sse, best_node = math.inf, None
+        for lam in config.lam_grid:
+            for alpha in config.alpha_grid:
+                for phi in phis:
+                    for tc in config.tc_grid:
+                        x = distance_to_critical(times, tc, config.direction)
+                        sse = _node_solve(x, y, lam, alpha, config.variant, phi)[0]
+                        if sse < best_sse:
+                            best_sse, best_node = sse, (float(tc), float(lam), float(alpha), phi)
+        return best_sse, best_node, len(phis)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    # A negative |cos| amplitude puts the unconstrained optimum behind the B >= 0 boundary.
+    @pytest.mark.parametrize("b", [0.3, -0.3])
+    def test_matches_node_by_node_search(self, variant, direction, b):
+        t = np.linspace(0.0, 200.0, 80)
+        tc = 230.0 if direction == "bubble" else -30.0
+        model = LogPeriodicModel(tc=tc, alpha=0.4, lam=2.2, phi=0.8, a=1.5, b=b,
+                                 variant=variant, direction=direction)
+        rng = np.random.default_rng(11)
+        y = evaluate_model(model, t) + 0.02 * rng.standard_normal(len(t))
+        offsets = np.linspace(5.0, 80.0, 6)
+        cfg = FitConfig(
+            tc_grid=t.max() + offsets if direction == "bubble" else t.min() - offsets,
+            lam_grid=np.linspace(1.6, 3.0, 5),
+            alpha_grid=np.linspace(-0.5, 1.0, 4),
+            variant=variant,
+            direction=direction,
+        )
+        want_sse, want_node, n_phi = self.reference_search(t, y, cfg)
+        diag = FitDiagnostics()
+        grid_sse, node = _grid_stage(t, y, cfg, diag)
+        assert node == want_node
+        assert grid_sse == pytest.approx(want_sse, rel=1e-8)
+        assert diag.grid_nodes == 6 * 5 * 4 * n_phi
+        assert diag.nodes_skipped == 0
 
 
 class TestExtremaProgression:
