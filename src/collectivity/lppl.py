@@ -28,6 +28,7 @@ the log-period and the ratios estimate sqrt(lam).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,7 +40,9 @@ VARIANTS = ("cosine", "abs-cosine")
 DIRECTIONS = ("bubble", "antibubble")
 
 PHI_SCAN_POINTS = 64          # |cos| has period pi, so the scan covers [0, pi)
-DEGENERACY_TOL = 1e-12        # on the normalized Gram determinant
+# A grid node is skipped when its normalized Gram determinant,
+# det(G) / prod_k G_kk = prod_k d_k / G_kk over the LDL^T pivots d_k, is at or below this.
+DEGENERACY_TOL = 1e-12
 REFINE_TOL = 1e-8
 MAX_REFINE_SWEEPS = 500
 
@@ -104,6 +107,8 @@ class ExtremaProgression:
 def distance_to_critical(times: np.ndarray, tc: float, direction: str) -> np.ndarray:
     """x = |t - t_c| with the sign convention of the given direction; rejects wrong-side points."""
     times = np.asarray(times, dtype=float)
+    if not math.isfinite(tc):
+        raise DataError(f"t_c must be finite, got {tc}")
     if direction == "bubble":
         x = tc - times
     elif direction == "antibubble":
@@ -241,6 +246,39 @@ def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
     return sse, a, b, phi_out
 
 
+def _ldl_projection(gram, rhs, y_sq, last_nonnegative):
+    """Residual of projecting y onto a batch of bases, and their normalized Gram determinants.
+
+    gram[j][k] (k <= j) and rhs[j] hold the lower triangle of each node's Gram
+    matrix G and its right-hand side r, as arrays that broadcast over the batch.
+    Symmetric elimination without pivoting factors G = L D L^T elementwise, with
+    pivots d_k, multipliers l_jk and the forward substitution z = L^-1 r, so
+        SSE = y.y - r^T G^-1 r = y.y - sum_k z_k**2 / d_k,
+        det(G) / prod_k G_kk = prod_k d_k / G_kk.
+    The last amplitude is z_last / d_last. With last_nonnegative, a node with
+    z_last < 0 (every d_k > 0 on a node that passes the degeneracy test) gets
+    the boundary SSE with that amplitude pinned at 0: the residual before the
+    last pivot. Returns (sse, normalized determinant).
+    """
+    size = len(rhs)
+    schur = [list(row) for row in gram]   # reduced in place to the trailing Schur complements
+    z = list(rhs)
+    sse, det = y_sq, 1.0
+    for k in range(size):
+        d = schur[k][k]
+        det = det * (d / gram[k][k])
+        before = sse
+        sse = sse - z[k] * z[k] / d
+        for j in range(k + 1, size):
+            l_jk = schur[j][k] / d
+            for m in range(k + 1, j + 1):
+                schur[j][m] = schur[j][m] - l_jk * schur[m][k]
+            z[j] = z[j] - l_jk * z[k]
+    if last_nonnegative:
+        sse = np.where(z[-1] < 0.0, before, sse)
+    return sse, det
+
+
 def _grid_stage(times, y, config, diag):
     """Scan every (t_c, lam, alpha[, phi]) node; return (grid_sse, best node or None).
 
@@ -248,7 +286,14 @@ def _grid_stage(times, y, config, diag):
     for "cosine" (phi = 0 only) and |cos(theta + phi)| over the phi scan for
     "abs-cosine". With env = x**alpha, each Gram entry for all (alpha, lam*phi)
     nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T, and each
-    right-hand side is (env * y) @ b_j.T. Ties resolve to the first node in
+    right-hand side is (env * y) @ b_j.T. _ldl_projection turns these entries
+    into each node's SSE and normalized determinant with a closed-form LDL^T:
+    no matrix is assembled and no LAPACK routine runs per node. A node is
+    skipped, and counted, unless its Gram and right-hand-side entries are
+    finite, its diagonal is positive and its normalized determinant is finite
+    and above DEGENERACY_TOL. For "abs-cosine", B >= 0: a node whose unconstrained
+    B is negative (z_last < 0) takes the SSE of the envelope column alone,
+    y.y - (env.y)**2 / (env.env). Ties resolve to the first node in
     (lam, alpha, phi, t_c) order.
     """
     tc_grid = config.tc_grid
@@ -269,7 +314,6 @@ def _grid_stage(times, y, config, diag):
     # Work buffers shared by every t_c row: the oscillation columns and one product of them.
     basis = np.empty((n_osc, n_cols, len(times)))
     product = np.empty((n_cols, len(times)))
-    size = 1 + n_osc
 
     best_sse = np.full((len(alphas), n_cols), np.inf)
     best_row = np.zeros(best_sse.shape, dtype=int)
@@ -286,39 +330,33 @@ def _grid_stage(times, y, config, diag):
         with np.errstate(over="ignore", invalid="ignore"):
             env = np.exp(alphas[:, None] * logx_row[None, :])
             env_sq = env * env
-            gram = np.empty(best_sse.shape + (size, size))
-            rhs = np.empty(best_sse.shape + (size,))
-            gram[..., 0, 0] = env_sq.sum(axis=1)[:, None]
-            rhs[..., 0] = (env @ y)[:, None]
             env_y = env * y
+            # Lower triangle of the Gram matrix and the right-hand side, entry by entry,
+            # over (alpha, lam*phi); the constant column's entries broadcast over lam*phi.
+            gram = [[env_sq.sum(axis=1)[:, None]]]
+            rhs = [(env @ y)[:, None]]
             for j in range(n_osc):
-                gram[..., 0, j + 1] = gram[..., j + 1, 0] = env_sq @ basis[j].T
-                rhs[..., j + 1] = env_y @ basis[j].T
-                for k in range(j, n_osc):
+                gram_row = [env_sq @ basis[j].T]
+                for k in range(j + 1):
                     np.multiply(basis[j], basis[k], out=product)
-                    gram[..., j + 1, k + 1] = gram[..., k + 1, j + 1] = env_sq @ product.T
+                    gram_row.append(env_sq @ product.T)
+                gram.append(gram_row)
+                rhs.append(env_y @ basis[j].T)
 
-        scale = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
-        ok = np.all(np.isfinite(gram), axis=(-2, -1)) & np.all(np.isfinite(rhs), axis=-1)
-        ok &= np.all(scale > 0.0, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normalized = gram / scale[..., :, None] / scale[..., None, :]
-            det = np.linalg.det(np.where(np.isfinite(normalized), normalized, 0.0))
+        ok = np.ones(best_sse.shape, dtype=bool)
+        for entry in itertools.chain(*gram, rhs):
+            ok &= np.isfinite(entry)
+        for k, gram_row in enumerate(gram):
+            ok &= gram_row[k] > 0.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sse, det = _ldl_projection(gram, rhs, y_sq, config.variant == "abs-cosine")
         ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
         diag.grid_nodes += ok.size
         diag.nodes_skipped += int(ok.size - ok.sum())
         if not ok.any():
             continue
 
-        gram_ok, rhs_ok = gram[ok], rhs[ok]
-        sol = np.linalg.solve(gram_ok, rhs_ok[:, :, None])[:, :, 0]
-        sse_ok = y_sq - np.einsum("ij,ij->i", sol, rhs_ok)
-        if config.variant == "abs-cosine":
-            # B >= 0 by convention; the constrained optimum sits on the boundary.
-            boundary = sol[:, 1] < 0.0
-            sse_ok[boundary] = y_sq - rhs_ok[boundary, 0] ** 2 / gram_ok[boundary, 0, 0]
-        sse = np.full(ok.shape, np.inf)
-        sse[ok] = sse_ok
+        sse = np.where(ok, sse, np.inf)
         better = sse < best_sse
         best_sse[better] = sse[better]
         best_row[better] = row

@@ -353,6 +353,18 @@ class TestErrorSurface:
         record = json.loads(line)
         assert record == {"error": "data", "message": "line 7: non-finite price"}
 
+    @pytest.mark.parametrize("tc", ["nan", "inf", "-inf"])
+    def test_non_finite_critical_time_is_a_data_error_without_warnings(self, tmp_path, capsys,
+                                                                      lppl_series_csv, tc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["extrema", "--input", str(lppl_series_csv), "--t-c", tc,
+                       "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": f"t_c must be finite, got {tc}"}
+
     def test_flat_asset_in_a_middle_window_names_asset_and_window(self, tmp_path, capsys):
         # B's price holds still from 2020-01-11 to 2020-01-21, so its returns
         # labelled 2020-01-11 .. 2020-01-20 are exactly zero; the first window

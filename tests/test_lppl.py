@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from collectivity.errors import DataError, NumericError
 from collectivity.lppl import (
+    DEGENERACY_TOL,
     DIRECTIONS,
     PHI_SCAN_POINTS,
     VARIANTS,
@@ -76,6 +77,11 @@ class TestEvaluateModel:
             bubble_model(b=-b, phi=(phi + math.pi) % (2 * math.pi), alpha=alpha), t
         )
         assert np.allclose(plus, minus, atol=1e-10)
+
+    @pytest.mark.parametrize("tc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_critical_time_is_rejected(self, tc):
+        with pytest.raises(DataError, match=f"^t_c must be finite, got {tc}$"):
+            evaluate_model(bubble_model(tc=tc), [0.0, 1.0])
 
     def test_lam_must_exceed_one(self):
         with pytest.raises(DataError, match="exceed 1"):
@@ -263,12 +269,15 @@ class TestGridStage:
     """The batched grid stage picks the node a node-by-node search picks."""
 
     @staticmethod
-    def reference_search(times, y, config):
-        # Every node through _node_solve, in (lam, alpha, phi, t_c) order; first strict minimum.
+    def phi_scan(config):
         if config.variant == "cosine":
-            phis = [None]
-        else:
-            phis = [float(p) for p in np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)]
+            return [None]
+        return [float(p) for p in np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)]
+
+    @classmethod
+    def reference_search(cls, times, y, config):
+        # Every node through _node_solve, in (lam, alpha, phi, t_c) order; first strict minimum.
+        phis = cls.phi_scan(config)
         best_sse, best_node = math.inf, None
         for lam in config.lam_grid:
             for alpha in config.alpha_grid:
@@ -306,6 +315,51 @@ class TestGridStage:
         assert grid_sse == pytest.approx(want_sse, rel=1e-8)
         assert diag.grid_nodes == 6 * 5 * 4 * n_phi
         assert diag.nodes_skipped == 0
+
+    @classmethod
+    def reference_determinants(cls, times, config):
+        # det of each node's column-normalized design.T @ design, from _node_solve's columns.
+        dets = []
+        for lam in config.lam_grid:
+            for alpha in config.alpha_grid:
+                for phi in cls.phi_scan(config):
+                    for tc in config.tc_grid:
+                        x = distance_to_critical(times, tc, config.direction)
+                        env = x**alpha
+                        theta = 2.0 * math.pi / math.log(lam) * np.log(x)
+                        if phi is None:
+                            cols = [env, env * np.cos(theta), env * np.sin(theta)]
+                        else:
+                            cols = [env, env * np.abs(np.cos(theta + phi))]
+                        design = np.column_stack(cols)
+                        design /= np.linalg.norm(design, axis=0)
+                        dets.append(np.linalg.det(design.T @ design))
+        return np.array(dets)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_degenerate_nodes_are_skipped_and_counted(self, variant):
+        # Seen from t_c = 2e12, a 30-day series spans so little of ln(x) that the
+        # oscillation columns are numerically constant; seen from t_c = 40 they are not.
+        t = np.linspace(0.0, 30.0, 40)
+        y = np.sin(t)
+        cfg = FitConfig(
+            tc_grid=np.array([40.0, 2.0e12]),
+            lam_grid=np.array([2.0, 1.0e9]),
+            alpha_grid=np.array([0.0, 0.5]),
+            variant=variant,
+        )
+        dets = self.reference_determinants(t, cfg)
+        # No node sits within 10x of the tolerance, where rounding could count it either way.
+        assert not np.any((dets > 0.1 * DEGENERACY_TOL) & (dets < 10.0 * DEGENERACY_TOL))
+        want_skipped = int(np.sum(~(dets > DEGENERACY_TOL)))
+        assert 0 < want_skipped < dets.size
+        diag = FitDiagnostics()
+        grid_sse, node = _grid_stage(t, y, cfg, diag)
+        assert diag.grid_nodes == dets.size
+        assert diag.nodes_skipped == want_skipped
+        want_sse, want_node, _ = self.reference_search(t, y, cfg)
+        assert node == want_node
+        assert grid_sse == pytest.approx(want_sse, rel=1e-8)
 
 
 class TestExtremaProgression:
