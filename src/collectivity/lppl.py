@@ -61,7 +61,11 @@ class LogPeriodicModel:
     direction: str = "bubble"
 
     def __post_init__(self) -> None:
-        if self.lam <= 1.0:
+        for name, value in (("t_c", self.tc), ("alpha", self.alpha), ("lam", self.lam),
+                            ("phi", self.phi), ("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
+        if not self.lam > 1.0:
             raise DataError(f"scaling ratio must exceed 1, got {self.lam}")
         if self.variant not in VARIANTS:
             raise DataError(f"variant must be one of {VARIANTS}, got {self.variant!r}")

@@ -130,15 +130,19 @@ def _read_records(
             ) from None
         width = max(i_date, i_value, i_key or 0)
 
+        # One date object per distinct date text: a panel repeats each date once per asset.
+        days: dict[str, dt.date] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or not "".join(row).strip():
                 continue
             if len(row) <= width:
                 raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                day = dt.date.fromisoformat(row[i_date].strip())
-            except ValueError:
-                raise DataError(f"line {lineno}: unparseable date {row[i_date]!r}") from None
+            day = days.get(row[i_date])
+            if day is None:
+                try:
+                    day = days[row[i_date]] = dt.date.fromisoformat(row[i_date].strip())
+                except ValueError:
+                    raise DataError(f"line {lineno}: unparseable date {row[i_date]!r}") from None
             key = None
             if i_key is not None:
                 key = row[i_key].strip()

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .errors import DataError, NumericError
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
+CHUNK_BYTES = 512 * 1024  # matrix entries per stacked decomposition in spectrum_trace
 
 
 @dataclass
@@ -114,17 +117,19 @@ def poisson_cdf(s: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(-s)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # Convention: the largest-magnitude component of each eigenvector is positive.
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[idx, np.arange(vectors.shape[1])] < 0
-    vectors = vectors.copy()
-    vectors[:, flip] *= -1.0
-    return vectors
+def _first_failure(ok: np.ndarray, stacked: bool) -> tuple[int, str]:
+    """Index of the first matrix failing a check, and a message prefix naming it in a stack."""
+    i = int(np.argmin(ok))
+    return i, f"matrix {i} of the stack: " if stacked else ""
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
+
+    matrix may also be a (k, N, N) stack. Then one LAPACK call covers the
+    stack, the results are (k, N) eigenvalues and (k, N, N) eigenvectors,
+    and every check below holds for each matrix on its own; an error names
+    the first matrix that fails. A 2-D input is a stack of one.
 
     Rejects inputs whose asymmetry exceeds 1e-12 and verifies the residual
     ||M v - lambda v|| <= 1e-9 * N per eigenpair. Exactly equal eigenvalues
@@ -132,44 +137,73 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     the output is deterministic.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DataError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise DataError("matrix has non-finite entries")
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise DataError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2] or not matrix.shape[-1]:
+        raise DataError(f"expected a non-empty square matrix or stack of them, got {matrix.shape}")
+    stacked = matrix.ndim == 3
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    ok = np.all(np.isfinite(stack), axis=(1, 2))
+    if not ok.all():
+        _, where = _first_failure(ok, stacked)
+        raise DataError(f"{where}matrix has non-finite entries")
+    # Every (k, N, N) temporary is written into one of three buffers (work,
+    # vectors, spare): a fresh large array per step costs page faults that
+    # rival the arithmetic of the checks.
+    transposed = stack.transpose(0, 2, 1)
+    work = np.subtract(stack, transposed)
+    asym = np.max(np.abs(work, out=work), axis=(1, 2))
+    ok = asym <= SYMMETRY_TOL
+    if not ok.all():
+        i, where = _first_failure(ok, stacked)
+        raise DataError(f"{where}matrix is not symmetric: max |M - M^T| = {asym[i]:.3e}")
 
-    sym = 0.5 * (matrix + matrix.T)
+    sym = np.add(stack, transposed, out=work)
+    sym *= 0.5
     values, vectors = np.linalg.eigh(sym)
-    vectors = _fix_signs(vectors)
-    order = np.argsort(-values, kind="stable")
-    if np.any(values[order[1:]] == values[order[:-1]]):
+    # Convention: the largest-magnitude component of each eigenvector is positive.
+    spare = np.abs(vectors)
+    lead = np.take_along_axis(vectors, np.argmax(spare, axis=1)[:, None, :], axis=1)
+    np.negative(vectors, out=vectors, where=lead < 0)
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    for i in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
         # Key (-lambda, eigenvector components): lexsort's last row is the primary key.
-        order = np.lexsort(np.vstack([vectors[::-1], -values[None]]))
-    values = values[order]
-    vectors = vectors[:, order]
+        order[i] = np.lexsort(np.vstack([vectors[i, ::-1], -values[i][None]]))
+    values = np.take_along_axis(values, order, axis=1)
+    for i in range(len(order)):
+        np.take(vectors[i], order[i], axis=1, out=spare[i])
+    vectors, spare = spare, vectors
 
     # The checks are written as `not (x <= tol)` so that a NaN defect fails them.
-    n = len(values)
-    residual = sym @ vectors - vectors * values
-    worst = float(np.max(np.sqrt(np.einsum("ij,ij->j", residual, residual)))) if n else 0.0
-    if not worst <= RESIDUAL_TOL * max(n, 1):
-        raise NumericError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL * n:.3e}")
-    gram = vectors.T @ vectors
-    ortho = float(np.max(np.abs(gram - np.eye(n))))
-    if not ortho <= RESIDUAL_TOL:
-        raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
-    return values, vectors
+    n = values.shape[1]
+    residual = np.matmul(sym, vectors, out=spare)
+    residual -= np.multiply(vectors, values[:, None, :], out=work)  # sym is not needed again
+    worst = np.max(np.sqrt(np.einsum("kij,kij->kj", residual, residual)), axis=1)
+    ok = worst <= RESIDUAL_TOL * n
+    if not ok.all():
+        i, where = _first_failure(ok, stacked)
+        raise NumericError(f"{where}eigenpair residual {worst[i]:.3e} exceeds {RESIDUAL_TOL * n:.3e}")
+    gram = np.matmul(vectors.transpose(0, 2, 1), vectors, out=spare)
+    gram[:, np.arange(n), np.arange(n)] -= 1.0
+    ortho = np.max(np.abs(gram, out=gram), axis=(1, 2))
+    ok = ortho <= RESIDUAL_TOL
+    if not ok.all():
+        i, where = _first_failure(ok, stacked)
+        raise NumericError(f"{where}eigenvector orthonormality defect {ortho[i]:.3e}")
+    return (values, vectors) if stacked else (values[0], vectors[0])
+
+
+def _check_semidefinite(values: np.ndarray) -> None:
+    """Reject a spectrum (or a stack of them, one per row) whose smallest eigenvalue is below -1e-9."""
+    lowest = values[..., -1]
+    below = lowest[lowest < -RESIDUAL_TOL]
+    if below.size:
+        raise NumericError(f"correlation matrix has eigenvalue {below[0]:.3e} below -{RESIDUAL_TOL}")
 
 
 def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     """Spectrum of a correlation matrix, enforcing positive semidefiniteness up to 1e-9."""
     values, vectors = symmetric_eigendecomposition(matrix.entries)
-    if values.size and values[-1] < -RESIDUAL_TOL:
-        raise NumericError(
-            f"correlation matrix has eigenvalue {values[-1]:.3e} below -{RESIDUAL_TOL}"
-        )
+    _check_semidefinite(values)
     return EigenSpectrum(values, vectors, matrix.window)
 
 
@@ -181,24 +215,127 @@ def portfolio_variance(matrix: CorrelationMatrix, weights: Sequence[float]) -> f
     return float(weights @ matrix.entries @ weights)
 
 
+def _pool_workers() -> int:
+    """Threads for spectrum_trace: the usable CPUs, or 1 unless BLAS runs one thread per call.
+
+    LAPACK releases the interpreter lock, so windows decompose in parallel;
+    on top of a multi-threaded BLAS the same pool only oversubscribes the
+    cores. OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS.
+    """
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas_threads != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(matrices: Iterable[CorrelationMatrix]) -> Iterator[list[CorrelationMatrix]]:
+    """Consecutive same-shape matrices, CHUNK_BYTES of entries per list (at least one matrix).
+
+    An error raised by matrices comes after the windows before it have been
+    yielded, so the caller decomposes those first, as a window-by-window loop would.
+    """
+    chunk: list[CorrelationMatrix] = []
+    try:
+        for m in matrices:
+            if chunk and m.entries.shape != chunk[0].entries.shape:
+                yield chunk
+                chunk = []
+            chunk.append(m)
+            if (len(chunk) + 1) * m.entries.nbytes > CHUNK_BYTES:
+                yield chunk
+                chunk = []
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _window_snapshot(m: CorrelationMatrix) -> SpectrumSnapshot:
+    try:
+        spectrum = eigendecompose(m)
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"window ending {m.window.end}: {exc}") from exc
+    return SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector.copy())
+
+
+def _chunk_snapshots(chunk: list[CorrelationMatrix]) -> list[SpectrumSnapshot]:
+    """Snapshots of a chunk of windows from one stacked decomposition.
+
+    If any window fails a check, the chunk is redone window by window, so the
+    error names the first failing window.
+    """
+    try:
+        values, vectors = symmetric_eigendecomposition(np.stack([m.entries for m in chunk]))
+        _check_semidefinite(values)
+    except (DataError, NumericError):
+        return [_window_snapshot(m) for m in chunk]
+    # Copy the leading vectors: views would keep the chunk's eigenvector stack alive.
+    leading = vectors[:, :, 0].copy()
+    return [SpectrumSnapshot(m.window.end, values[i], leading[i]) for i, m in enumerate(chunk)]
+
+
+def _adopted(snapshots: list[SpectrumSnapshot]) -> list[SpectrumSnapshot]:
+    # Copies made by the calling thread. Arrays kept from a pool thread pin
+    # pages of that thread's malloc arena, which the calling thread's later
+    # work cannot reuse; without the copies the peak RSS of a spectrum run
+    # followed by spacing-stats rose by several MB.
+    return [SpectrumSnapshot(s.window_end, s.eigenvalues.copy(), s.leading_vector.copy())
+            for s in snapshots]
+
+
+def _pooled_snapshots(matrices: Iterable[CorrelationMatrix], workers: int) -> list[SpectrumSnapshot]:
+    """_chunk_snapshots over a thread pool, with at most one chunk per worker in flight.
+
+    Results and errors come back in window order. Executor.map is not used
+    because it drains the matrices generator up front.
+    """
+    # Imported here: concurrent.futures imports logging, which would add
+    # about 6 ms to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    snapshots: list[SpectrumSnapshot] = []
+    pending: deque = deque()
+    chunks = _chunks(matrices)
+    with ThreadPoolExecutor(workers) as pool:
+        while True:
+            try:
+                chunk = next(chunks, None)
+            except Exception:
+                # The chunks in flight hold earlier windows: their errors come first.
+                for future in pending:
+                    future.result()
+                raise
+            if chunk is None:
+                break
+            if len(pending) == workers:
+                # On an error here the later chunks still finish, and their results are dropped.
+                snapshots += _adopted(pending.popleft().result())
+            pending.append(pool.submit(_chunk_snapshots, chunk))
+        for future in pending:
+            snapshots += _adopted(future.result())
+    return snapshots
+
+
 def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrace:
     """Eigendecompose each window and keep eigenvalues plus the leading eigenvector.
 
-    matrices may be a generator such as corr.rolling_windows. A matrix is
-    released once its snapshot is taken, so memory stays O(N^2) however many
-    windows there are.
+    matrices may be a generator such as corr.rolling_windows. Windows are
+    decomposed in chunks of at most CHUNK_BYTES of entries (or one window),
+    one stacked call each, on a thread pool of the usable CPUs when BLAS is pinned to one thread (see
+    _pool_workers), else in the calling thread. A matrix is released once
+    its snapshot is taken, so memory stays O(workers x chunk x N^2) however
+    many windows there are. The snapshots, and the first error, come in
+    window order.
     """
-    snapshots = []
-    for m in matrices:
-        try:
-            spectrum = eigendecompose(m)
-        except (DataError, NumericError) as exc:
-            raise type(exc)(f"window ending {m.window.end}: {exc}") from exc
-        # Copy the leading vector: a column view would keep the whole N x N
-        # eigenvector matrix of every window alive.
-        snapshots.append(
-            SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector.copy())
-        )
+    workers = _pool_workers()
+    if workers > 1:
+        snapshots = _pooled_snapshots(matrices, workers)
+    else:
+        snapshots = [s for chunk in _chunks(matrices) for s in _chunk_snapshots(chunk)]
     if not snapshots:
         raise DataError("spectrum_trace needs at least one matrix")
     return RollingSpectrumTrace(snapshots)

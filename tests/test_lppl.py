@@ -87,6 +87,13 @@ class TestEvaluateModel:
         with pytest.raises(DataError, match="exceed 1"):
             bubble_model(lam=0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, name", [("tc", "t_c"), ("alpha", "alpha"), ("lam", "lam"),
+                                             ("phi", "phi"), ("a", "a"), ("b", "b")])
+    def test_non_finite_parameter_is_rejected_by_name(self, field, name, value):
+        with pytest.raises(DataError, match=f"^{name} must be finite, got {value}$"):
+            bubble_model(**{field: value})
+
 
 class TestScaleInvariance:
     def test_exact_exponent_has_tiny_residual(self):

@@ -1,4 +1,8 @@
 import datetime as dt
+import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from collectivity.corr import CorrelationMatrix, WindowInfo, correlation_matrix, rolling_correlation
+from collectivity import spectral
+from collectivity.corr import (
+    CorrelationMatrix,
+    WindowInfo,
+    correlation_matrix,
+    rolling_correlation,
+    rolling_windows,
+)
 from collectivity.errors import DataError, NumericError
 from collectivity.spectral import (
     collectivity_metrics,
@@ -200,6 +211,172 @@ class TestSpectrumTrace:
         matrix = correlation_matrix(random_panel(3, 30, 9))
         with pytest.raises(DataError, match="strictly increasing"):
             spectrum_trace([matrix, matrix])
+
+
+POOL_WORKERS = 3  # more workers than the two cores of a small runner
+
+
+@pytest.fixture(params=["inline", "pooled"])
+def trace_mode(request, monkeypatch):
+    """Run spectrum_trace in the calling thread, or on a pool of POOL_WORKERS threads.
+
+    The pool is switched on the way a pinned BLAS switches it on; the CPU
+    count is fixed so the pool is used on a one-CPU machine too.
+    """
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if request.param == "pooled":
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(POOL_WORKERS)),
+                            raising=False)
+    else:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert spectral._pool_workers() == (POOL_WORKERS if request.param == "pooled" else 1)
+    return request.param
+
+
+def windows_per_chunk(n: int) -> int:
+    return max(1, spectral.CHUNK_BYTES // (n * n * 8))
+
+
+def serial_trace(matrices):
+    """Reference trace: eigendecompose one window at a time."""
+    out = []
+    for m in matrices:
+        spectrum = eigendecompose(m)
+        out.append((m.window.end, spectrum.eigenvalues, spectrum.leading_vector))
+    return out
+
+
+def assert_same_bits(trace, reference):
+    assert len(trace) == len(reference)
+    for snap, (end, values, leading) in zip(trace.snapshots, reference):
+        assert snap.window_end == end
+        assert snap.eigenvalues.tobytes() == values.tobytes()
+        assert snap.leading_vector.tobytes() == leading.tobytes()
+
+
+def faulty_windows(panel, window_length, bad=None, fail_at=None):
+    """rolling_windows with window `bad` made asymmetric and a generator error at `fail_at`."""
+    for i, m in enumerate(rolling_windows(panel, window_length)):
+        if i == fail_at:
+            raise DataError(f"generator fault at window {i}")
+        if i == bad:
+            m.entries[0, 1] += 1e-6
+        yield m
+
+
+class TestChunkedTrace:
+    @pytest.mark.parametrize("n", [40, math.isqrt(spectral.CHUNK_BYTES // 8) + 1],
+                             ids=["many-per-chunk", "one-per-chunk"])
+    def test_trace_matches_the_serial_oracle_bit_for_bit(self, trace_mode, n):
+        per_chunk = windows_per_chunk(n)
+        count = 2 * per_chunk + 1 if per_chunk > 1 else 7
+        assert count % per_chunk or per_chunk == 1
+        panel = one_factor_panel(n, n + 10 + count - 1, 0.3, seed=n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            trace = spectrum_trace(rolling_windows(panel, n + 10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(trace, serial_trace(rolling_windows(panel, n + 10)))
+
+    def test_windows_of_different_sizes_are_not_stacked_together(self, trace_mode):
+        panels = [random_panel(n, 40, seed=n) for n in (3, 3, 5, 3)]
+        matrices = [
+            CorrelationMatrix(p.assets, correlation_matrix(p).entries,
+                              WindowInfo(dt.date(2020, 1, 1), dt.date(2020, 2, 1 + i), 30))
+            for i, p in enumerate(panels)
+        ]
+        assert_same_bits(spectrum_trace(matrices), serial_trace(matrices))
+
+    def test_pool_holds_at_most_one_chunk_per_worker(self, trace_mode, monkeypatch):
+        n = 40
+        per_chunk = windows_per_chunk(n)
+        panel = one_factor_panel(n, 50 + 6 * per_chunk, 0.3, seed=3)
+        done = [0]
+        lock = threading.Lock()
+        kernel = spectral._chunk_snapshots
+
+        def counted(chunk):
+            snapshots = kernel(chunk)
+            with lock:
+                done[0] += len(chunk)
+            return snapshots
+
+        def watched(matrices):
+            for pulled, m in enumerate(matrices, start=1):
+                with lock:
+                    ahead = pulled - done[0]
+                # the chunks in flight plus the one being filled
+                assert ahead <= (spectral._pool_workers() + 1) * per_chunk
+                yield m
+
+        monkeypatch.setattr(spectral, "_chunk_snapshots", counted)
+        trace = spectrum_trace(watched(rolling_windows(panel, 50)))
+        assert len(trace) == 6 * per_chunk + 1
+
+    @pytest.mark.parametrize("after", [1, 3, 30], ids=["same-chunk", "next-chunks", "much-later"])
+    def test_first_bad_window_wins_over_a_later_generator_error(self, trace_mode, after):
+        n = 100
+        per_chunk = windows_per_chunk(n)
+        assert per_chunk > 2  # so the bad window sits inside chunk 2, not at its start
+        bad = per_chunk + 1
+        panel = one_factor_panel(n, 120 + bad + after + 5, 0.3, seed=5)
+        end = list(rolling_windows(panel, 120))[bad].window.end
+        with pytest.raises(DataError, match=f"^window ending {end}: matrix is not symmetric"):
+            spectrum_trace(faulty_windows(panel, 120, bad=bad, fail_at=bad + after))
+
+    def test_generator_error_surfaces_after_good_windows(self, trace_mode):
+        panel = one_factor_panel(40, 80, 0.3, seed=6)
+        with pytest.raises(DataError, match="^generator fault at window 5$"):
+            spectrum_trace(faulty_windows(panel, 50, fail_at=5))
+
+    def test_pool_only_with_single_threaded_blas(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for openblas, omp, want in [(None, None, 1), ("1", None, 2), (None, "1", 2),
+                                    ("4", "1", 1), ("1", "4", 2), ("2", None, 1)]:
+            for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+                if value is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, value)
+            assert spectral._pool_workers() == want, (openblas, omp)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert spectral._pool_workers() == 1
+
+
+class TestStackedDecomposition:
+    def stack(self):
+        tied = [np.eye(6), np.kron(np.eye(3), np.ones((2, 2))), np.diag([2.0, 1.0, 1.0, 2.0, 0.5, 1.0])]
+        distinct = [correlation_matrix(random_panel(6, 40, seed)).entries for seed in (1, 2)]
+        return np.stack(tied + distinct)
+
+    def test_stack_equals_its_per_matrix_calls_bit_for_bit(self):
+        stack = self.stack()
+        values, vectors = symmetric_eigendecomposition(stack)
+        assert values.shape == (5, 6) and vectors.shape == (5, 6, 6)
+        for i, matrix in enumerate(stack):
+            want_values, want_vectors = symmetric_eigendecomposition(matrix)
+            assert values[i].tobytes() == want_values.tobytes()
+            assert vectors[i].tobytes() == want_vectors.tobytes()
+
+    def test_non_finite_matrix_in_a_stack_is_named(self):
+        stack = self.stack()
+        stack[3, 2, 2] = np.inf
+        with pytest.raises(DataError, match="^matrix 3 of the stack: matrix has non-finite entries$"):
+            symmetric_eigendecomposition(stack)
+
+    def test_asymmetric_matrix_in_a_stack_is_named(self):
+        stack = self.stack()
+        stack[1, 0, 5] += 1e-9
+        with pytest.raises(DataError, match="^matrix 1 of the stack: matrix is not symmetric"):
+            symmetric_eigendecomposition(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2), (0, 0), (2, 0, 0)])
+    def test_rejects_shapes_that_are_not_square_stacks(self, shape):
+        with pytest.raises(DataError, match="square matrix"):
+            symmetric_eigendecomposition(np.zeros(shape))
 
 
 class TestCollectivityMetrics:
