@@ -65,10 +65,6 @@ def _ensure_out_dir(out_dir: str) -> Path:
     return path
 
 
-def _schema(date_col: str, asset_col: str, price_col: str, delimiter: str) -> marketdata.ColumnSchema:
-    return marketdata.ColumnSchema(date=date_col, asset=asset_col, price=price_col, delimiter=delimiter)
-
-
 def _load_panel(paths, schema, tau: int, min_coverage: float) -> marketdata.ReturnPanel:
     series = marketdata.merge_price_series(marketdata.load_price_series(p, schema) for p in paths)
     return marketdata.align_calendars(marketdata.compute_returns(series, tau), min_coverage)
@@ -140,7 +136,8 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
 def returns(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_coverage, out_dir):
     """Compute the aligned log-return panel from price files."""
     out = _ensure_out_dir(out_dir)
-    panel = _load_panel(inputs, _schema(date_col, asset_col, price_col, delimiter), tau, min_coverage)
+    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
+    panel = _load_panel(inputs, schema, tau, min_coverage)
     output.write_panel_tsv(out / "returns.tsv", panel)
     _finish("returns", out_dir, ctx.params, ["returns.tsv"],
             extra={"alignment_policy": "intersect"})
@@ -158,7 +155,8 @@ def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
              window_start, window_end, out_dir):
     """Correlation matrix over one window (default: the whole panel)."""
     out = _ensure_out_dir(out_dir)
-    panel = _load_panel(inputs, _schema(date_col, asset_col, price_col, delimiter), tau, min_coverage)
+    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
+    panel = _load_panel(inputs, schema, tau, min_coverage)
     window = None
     if (window_start is None) != (window_end is None):
         raise click.UsageError("--window-start and --window-end must be given together")
@@ -189,7 +187,8 @@ def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
              window_length, step, vectors, out_dir):
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
     out = _ensure_out_dir(out_dir)
-    panel = _load_panel(inputs, _schema(date_col, asset_col, price_col, delimiter), tau, min_coverage)
+    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
+    panel = _load_panel(inputs, schema, tau, min_coverage)
     trace = spectral.spectrum_trace(corr.rolling_windows(panel, window_length, step))
     files = ["spectrum_trace.tsv"]
     output.write_spectrum_trace(out / "spectrum_trace.tsv", trace)
@@ -220,7 +219,7 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     participation ratio) alongside the eigenvalues.
     """
     out = _ensure_out_dir(out_dir)
-    schema = _schema(date_col, asset_col, price_col, delimiter)
+    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
     panel_a = _load_panel(inputs_a, schema, tau, min_coverage)
     panel_b = _load_panel(inputs_b, schema, tau, min_coverage)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
@@ -350,8 +349,8 @@ def extrema(ctx, input_path, date_col, value_col, delimiter, take_log, tc_text, 
 def weierstrass_eval(ctx, a, b, m, tol, k_min, k_max, k_points, out_dir):
     """Tabulate the step-distribution series p(k) on a log-spaced grid."""
     out = _ensure_out_dir(out_dir)
-    if k_min <= 0 or k_max <= k_min:
-        raise click.UsageError(f"need 0 < k-min < k-max, got [{k_min}, {k_max}]")
+    if not 0 < k_min < k_max < np.inf:
+        raise click.UsageError(f"need 0 < k-min < k-max, both finite, got [{k_min}, {k_max}]")
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m, truncation_tol=tol)
     k = np.logspace(np.log10(k_min), np.log10(k_max), k_points)
     values = weierstrass.weierstrass_values(k, params)

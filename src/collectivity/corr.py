@@ -164,17 +164,3 @@ def merge_panels(panel_a: ReturnPanel, panel_b: ReturnPanel, shift_days: int = 0
         merged = marketdata.shift_returns(merged, panel_a.assets, shift_days)
     return merged
 
-
-def global_correlation(
-    panel_a: ReturnPanel,
-    panel_b: ReturnPanel,
-    window: tuple[dt.date, dt.date] | None = None,
-    shift_days: int = 0,
-) -> CorrelationMatrix:
-    """2-block global correlation matrix of two markets on their common calendar.
-
-    The markets are merged and market A shifted as in merge_panels before
-    windowing; block_split records the size of the A block.
-    """
-    merged = merge_panels(panel_a, panel_b, shift_days)
-    return correlation_matrix(merged, window, block_split=panel_a.n_assets)

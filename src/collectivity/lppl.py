@@ -99,13 +99,8 @@ class ExtremaProgression:
 
     minima: np.ndarray
     maxima: np.ndarray
-    min_ratios: np.ndarray
-    max_ratios: np.ndarray
+    ratios: np.ndarray
     lambda_estimate: float
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.concatenate([self.min_ratios, self.max_ratios])
 
 
 def distance_to_critical(times: np.ndarray, tc: float, direction: str) -> np.ndarray:
@@ -139,19 +134,6 @@ def evaluate_model(model: LogPeriodicModel, times) -> np.ndarray:
     envelope = x**model.alpha
     theta = model.omega * np.log(x) + model.phi
     return model.a * envelope + model.b * envelope * _oscillation(theta, model.variant)
-
-
-def check_scale_invariance(alpha: float, lam: float, gamma: float, x_grid=None) -> float:
-    """Residual max |Phi(lam x) - gamma Phi(x)| for Phi(x) = x**alpha over a test grid.
-
-    Zero (to rounding) exactly when alpha = ln(gamma)/ln(lam).
-    """
-    if lam <= 1.0:
-        raise DataError(f"lam must exceed 1, got {lam}")
-    if gamma <= 0.0:
-        raise DataError(f"gamma must be positive, got {gamma}")
-    x = np.logspace(-1.0, 1.0, 101) if x_grid is None else np.asarray(x_grid, dtype=float)
-    return float(np.max(np.abs((lam * x) ** alpha - gamma * x**alpha)))
 
 
 def _grid_array(values, name: str) -> np.ndarray:
@@ -568,16 +550,13 @@ def extrema_progression(
         gaps = np.diff(np.asarray(positions))
         return gaps[1:] / gaps[:-1]
 
-    min_ratios = spacing_ratios(min_pos)
-    max_ratios = spacing_ratios(max_pos)
-    ratios = np.concatenate([min_ratios, max_ratios])
+    ratios = np.concatenate([spacing_ratios(min_pos), spacing_ratios(max_pos)])
     if len(ratios) == 0:
         raise DataError("no extremum type occurs at least 3 times; cannot form spacing ratios")
     lam_hat = float(np.exp(np.mean(np.log(ratios))))
     return ExtremaProgression(
         minima=np.asarray(min_pos),
         maxima=np.asarray(max_pos),
-        min_ratios=min_ratios,
-        max_ratios=max_ratios,
+        ratios=ratios,
         lambda_estimate=lam_hat,
     )

@@ -93,9 +93,6 @@ class ReturnPanel:
     def n_dates(self) -> int:
         return len(self.dates)
 
-    def row(self, asset_id: str) -> np.ndarray:
-        return self.returns[self.assets.index(asset_id)]
-
 
 def _read_records(
     source: str | Path | TextIO,

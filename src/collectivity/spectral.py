@@ -24,7 +24,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class EigenSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     window: WindowInfo | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
     @property
     def leading_vector(self) -> np.ndarray:
@@ -77,9 +73,6 @@ class RollingSpectrumTrace:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-    def eigenvalue_sets(self) -> list[np.ndarray]:
-        return [s.eigenvalues for s in self.snapshots]
 
 
 @dataclass(frozen=True)
@@ -205,14 +198,6 @@ def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     values, vectors = symmetric_eigendecomposition(matrix.entries)
     _check_semidefinite(values)
     return EigenSpectrum(values, vectors, matrix.window)
-
-
-def portfolio_variance(matrix: CorrelationMatrix, weights: Sequence[float]) -> float:
-    """Quadratic form sum_ij p_i C_ij p_j of a weight vector on the correlation matrix."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (matrix.n,):
-        raise DataError(f"weight vector of length {weights.shape} does not match N={matrix.n}")
-    return float(weights @ matrix.entries @ weights)
 
 
 def _pool_workers() -> int:
@@ -353,20 +338,6 @@ def collectivity_metrics(spectrum: EigenSpectrum | SpectrumSnapshot) -> Collecti
     return CollectivityMetrics(gap, top / n, float(1.0 / np.sum(v**4)))
 
 
-def _coerce_eigenvalue_sets(source) -> list[np.ndarray]:
-    if isinstance(source, RollingSpectrumTrace):
-        return source.eigenvalue_sets()
-    if isinstance(source, EigenSpectrum):
-        return [source.eigenvalues]
-    sets = []
-    for item in source:
-        if isinstance(item, EigenSpectrum):
-            sets.append(item.eigenvalues)
-        else:
-            sets.append(np.asarray(item, dtype=float))
-    return sets
-
-
 def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     """Nearest-neighbor spacings after unfolding to unit mean density.
 
@@ -401,21 +372,20 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
 
 
 def spacing_statistics(
-    source,
+    sets: Iterable[np.ndarray],
     drop_top: int = 1,
     degree: int = 5,
     bins: int = 32,
 ) -> SpacingStatistics:
     """Pooled unfolded spacing histogram with KS distances to Wigner and Poisson laws.
 
-    source may be a RollingSpectrumTrace, an EigenSpectrum, or any iterable
-    of eigenvalue arrays / spectra. The top drop_top eigenvalues of each set
-    (the collective modes) are excluded before unfolding; each set is
-    unfolded separately and the spacings are pooled, then rescaled to mean 1.
+    sets is an iterable of eigenvalue arrays, for example one per window.
+    The top drop_top eigenvalues of each set (the collective modes) are
+    excluded before unfolding; each set is unfolded separately and the
+    spacings are pooled, then rescaled to mean 1.
     """
     if drop_top < 0:
         raise DataError(f"drop_top must be >= 0, got {drop_top}")
-    sets = _coerce_eigenvalue_sets(source)
     bulks = []
     for ev in sets:
         ev = np.sort(np.asarray(ev, dtype=float))

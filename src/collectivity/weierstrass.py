@@ -31,10 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .lppl import FitConfig, LpplFitResult, extrema_progression, fit_model
-
-RNG_ALGORITHM = "numpy-pcg64"
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,10 @@ class WeierstrassParams:
     truncation_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name, value in (("a", self.a), ("b", self.b), ("m", self.m),
+                            ("truncation_tol", self.truncation_tol)):
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.a <= 0:
             raise DataError(f"base step length must be positive, got {self.a}")
         if self.b <= 1:
@@ -76,13 +78,29 @@ def series_depth(params: WeierstrassParams) -> int:
     return max(1, math.ceil(math.log(1.0 / (2.0 * params.truncation_tol)) / math.log(params.m)))
 
 
+def _step_lengths(params: WeierstrassParams, j: np.ndarray) -> np.ndarray:
+    """b**j * a for each exponent j; a length that overflows is a NumericError naming its j."""
+    with np.errstate(over="ignore"):
+        steps = params.b**j * params.a
+    bad = np.flatnonzero(~np.isfinite(steps))
+    if bad.size:
+        raise NumericError(f"step length b**j * a is not finite at j = {int(j[bad[0]])}")
+    return steps
+
+
 def weierstrass_values(k, params: WeierstrassParams) -> np.ndarray:
     """Truncated series values at the given wave numbers (vectorized)."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     depth = series_depth(params)
     j = np.arange(depth)
     weights = params.m ** (-j.astype(float))
-    return params.prefactor * np.cos(np.outer(k, params.b**j * params.a)) @ weights
+    with np.errstate(over="ignore"):
+        arguments = np.outer(k, _step_lengths(params, j))
+    bad = ~np.isfinite(arguments)
+    if bad.any():
+        i, jj = np.argwhere(bad)[0]
+        raise NumericError(f"argument k * b**j * a is not finite at k = {k[i]}, j = {jj}")
+    return params.prefactor * np.cos(arguments) @ weights
 
 
 def weierstrass_p(k: float, params: WeierstrassParams) -> PartialSum:
@@ -119,7 +137,6 @@ class WalkResult:
     exponents: np.ndarray
     displacements: np.ndarray
     seed: int
-    algorithm: str = RNG_ALGORITHM
 
 
 def simulate_walk(params: WeierstrassParams, n_steps: int, seed: int) -> WalkResult:
@@ -133,8 +150,13 @@ def simulate_walk(params: WeierstrassParams, n_steps: int, seed: int) -> WalkRes
     rng = np.random.default_rng(seed)
     exponents = rng.geometric(p=(params.m - 1.0) / params.m, size=n_steps) - 1
     signs = rng.integers(0, 2, size=n_steps) * 2 - 1
-    displacements = signs * params.b ** exponents.astype(float) * params.a
-    return WalkResult(np.cumsum(displacements), exponents, displacements, seed)
+    displacements = signs * _step_lengths(params, exponents.astype(float))
+    with np.errstate(over="ignore"):
+        positions = np.cumsum(displacements)
+    bad = np.flatnonzero(~np.isfinite(positions))
+    if bad.size:
+        raise NumericError(f"walk position is not finite after step {bad[0] + 1}")
+    return WalkResult(positions, exponents, displacements, seed)
 
 
 @dataclass

@@ -401,6 +401,56 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["error"] == "usage"
 
+    @pytest.mark.parametrize(("k_min", "k_max"), [("nan", "100"), ("0.01", "nan"),
+                                                  ("0.01", "inf"), ("nan", "nan")])
+    def test_non_finite_k_range_is_usage_error(self, tmp_path, capsys, k_min, k_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["weierstrass-eval", "--k-min", k_min, "--k-max", k_max,
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        records = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] == "usage"
+        assert not (tmp_path / "o" / "weierstrass_p.tsv").exists()
+
+    @pytest.mark.parametrize(("command", "option", "field"), [
+        ("weierstrass-eval", "--a", "a"),
+        ("weierstrass-eval", "--b", "b"),
+        ("weierstrass-eval", "--m", "m"),
+        ("weierstrass-eval", "--tol", "truncation_tol"),
+        ("weierstrass-walk", "--a", "a"),
+        ("weierstrass-walk", "--b", "b"),
+        ("weierstrass-walk", "--m", "m"),
+    ])
+    def test_nan_weierstrass_parameter_is_a_data_error(self, tmp_path, capsys, command, option,
+                                                        field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, option, "nan", "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": f"{field} must be finite, got nan"}
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["weierstrass-eval", "--b", "10", "--tol", "1e-300"],
+         "step length b**j * a is not finite at j = 309"),
+        (["weierstrass-walk", "--b", "1e300", "--steps", "50"],
+         "step length b**j * a is not finite at j = "),
+    ])
+    def test_weierstrass_overflow_is_a_numeric_error(self, tmp_path, capsys, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(args + ["--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        (line,) = captured.err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "numeric"
+        assert record["message"].startswith(message)
+        assert not list((tmp_path / "o").glob("*.tsv"))
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, market_csv, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from collectivity.corr import (
     correlation_matrix,
-    global_correlation,
     merge_panels,
     rolling_correlation,
     rolling_windows,
@@ -175,18 +174,18 @@ class TestGlobalCorrelation:
             a = random_panel(1, t, seed)
             b = random_panel(1, t, 1000 + seed)
             b.assets[0] = "B00"
-            matrix = global_correlation(a, b, shift_days=0)
+            matrix = correlation_matrix(merge_panels(a, b, 0), block_split=a.n_assets)
             assert abs(matrix.entries[0, 1]) < 3.0 / np.sqrt(t)
 
     def test_lagged_copy_market_merges_under_shift(self):
         a, b = lagged_copy_markets(3, 80, noise_share=0.0, seed=11)
-        matrix = global_correlation(a, b, shift_days=1)
+        matrix = correlation_matrix(merge_panels(a, b, 1), block_split=a.n_assets)
         cross = matrix.entries[:3, 3:]
         assert np.allclose(np.diag(cross), 1.0, atol=1e-10)
 
     def test_block_split_records_market_sizes(self):
         a, b = lagged_copy_markets(4, 50, noise_share=0.2, seed=5)
-        matrix = global_correlation(a, b, shift_days=1)
+        matrix = correlation_matrix(merge_panels(a, b, 1), block_split=a.n_assets)
         assert matrix.block_split == 4
         assert matrix.n == 8
 
@@ -194,7 +193,7 @@ class TestGlobalCorrelation:
         from collectivity.marketdata import shift_returns
 
         a, b = lagged_copy_markets(4, 70, noise_share=0.3, seed=21)
-        matrix = global_correlation(a, b, shift_days=1)
+        matrix = correlation_matrix(merge_panels(a, b, 1), block_split=a.n_assets)
 
         merged = merge_panels(a, b)
         shifted = shift_returns(merged, a.assets, 1)

@@ -16,7 +16,6 @@ from collectivity.lppl import (
     LogPeriodicModel,
     _grid_stage,
     _node_solve,
-    check_scale_invariance,
     default_fit_config,
     distance_to_critical,
     evaluate_model,
@@ -93,23 +92,6 @@ class TestEvaluateModel:
     def test_non_finite_parameter_is_rejected_by_name(self, field, name, value):
         with pytest.raises(DataError, match=f"^{name} must be finite, got {value}$"):
             bubble_model(**{field: value})
-
-
-class TestScaleInvariance:
-    def test_exact_exponent_has_tiny_residual(self):
-        alpha = math.log(3.0) / math.log(2.0)
-        assert check_scale_invariance(alpha, 2.0, 3.0) < 1e-12
-
-    def test_gamma_four_lam_two(self):
-        assert check_scale_invariance(2.0, 2.0, 4.0) < 1e-12
-        # alpha=1 is wrong for gamma=4: residual grows with x.
-        coarse = check_scale_invariance(1.0, 2.0, 4.0, x_grid=[1.0])
-        fine = check_scale_invariance(1.0, 2.0, 4.0, x_grid=[10.0])
-        assert coarse > 0.1
-        assert fine > coarse
-
-    def test_constant_solution_for_unit_gamma(self):
-        assert check_scale_invariance(0.0, 2.0, 1.0) < 1e-15
 
 
 def in_grid_config() -> FitConfig:

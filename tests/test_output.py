@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from collectivity.corr import correlation_matrix, global_correlation, rolling_correlation
+from collectivity.corr import correlation_matrix, merge_panels, rolling_correlation
 from collectivity.errors import DataError
 from collectivity.lppl import FitConfig, LogPeriodicModel, evaluate_model, fit_model
 from collectivity.output import (
@@ -46,7 +46,7 @@ class TestMatrixFiles:
 
     def test_metadata_sidecar_fields(self, tmp_path):
         a, b = lagged_copy_markets(2, 40, 0.2, seed=2)
-        matrix = global_correlation(a, b, shift_days=1)
+        matrix = correlation_matrix(merge_panels(a, b, 1), block_split=a.n_assets)
         path = tmp_path / "m.meta.json"
         write_matrix_metadata(path, matrix)
         record = json.loads(path.read_text())

@@ -24,7 +24,6 @@ from collectivity.spectral import (
     eigendecompose,
     ks_distance,
     poisson_cdf,
-    portfolio_variance,
     spacing_statistics,
     spectrum_trace,
     symmetric_eigendecomposition,
@@ -142,29 +141,6 @@ class TestEigenpairOrder:
         want_values, want_vectors = sorted_key_oracle(matrix)
         assert values.tobytes() == want_values.tobytes()
         assert vectors.tobytes() == want_vectors.tobytes()
-
-
-class TestPortfolioVariance:
-    def test_unit_vector_returns_unit_diagonal(self, rng):
-        matrix = correlation_matrix(random_panel(5, 30, 4))
-        p = np.zeros(5)
-        p[2] = 1.0
-        assert portfolio_variance(matrix, p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_eigenvector_returns_its_eigenvalue(self, rng):
-        matrix = correlation_matrix(random_panel(6, 45, 5))
-        spec = eigendecompose(matrix)
-        for k in range(6):
-            got = portfolio_variance(matrix, spec.eigenvectors[:, k])
-            assert got == pytest.approx(spec.eigenvalues[k], abs=1e-9)
-
-    def test_uniform_weights_on_rank_one_matrix(self):
-        # Sum of all entries is 1, so p = (1/3, 1/3, 1/3) gives 1/9.
-        assert portfolio_variance(as_corr(RANK_ONE), np.full(3, 1 / 3)) == pytest.approx(1 / 9)
-
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(DataError, match="length"):
-            portfolio_variance(as_corr(np.eye(3)), [1.0, 0.0])
 
 
 class TestSpectrumTrace:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from collectivity.errors import DataError
+from collectivity.errors import DataError, NumericError
 from collectivity.weierstrass import (
     WeierstrassParams,
     analyze_self_similarity,
@@ -14,6 +16,7 @@ from collectivity.weierstrass import (
     series_depth,
     simulate_walk,
     weierstrass_p,
+    weierstrass_values,
 )
 
 param_sets = st.builds(
@@ -82,6 +85,32 @@ class TestWeierstrassP:
         with pytest.raises(DataError):
             WeierstrassParams(a=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "m", "truncation_tol"])
+    def test_non_finite_parameter_is_rejected_by_name(self, field, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{field} must be finite, got {value}$"):
+                WeierstrassParams(**{field: value})
+
+    def test_overflowing_step_length_is_a_numeric_error(self):
+        # 498 terms: 10**j overflows from j = 309 on.
+        params = WeierstrassParams(b=10.0, truncation_tol=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=re.escape("step length b**j * a is not finite at j = 309")):
+                weierstrass_values([1.0], params)
+
+    def test_overflowing_argument_is_a_numeric_error(self):
+        # Every step length is finite, but k * b**j * a overflows at the largest k.
+        params = WeierstrassParams(a=1e300)
+        assert np.isfinite(weierstrass_values([1.0], params)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=re.escape("argument k * b**j * a is not finite at k = 1e+300, j = 0")):
+                weierstrass_values([1.0, 1e300], params)
+
 
 class TestSimulateWalk:
     def test_fixed_seed_reproduces_trajectory(self):
@@ -136,6 +165,21 @@ class TestSimulateWalk:
     def test_step_count_validated(self):
         with pytest.raises(DataError):
             simulate_walk(WeierstrassParams(), 0, seed=0)
+
+    def test_overflowing_step_length_is_a_numeric_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=re.escape("step length b**j * a is not finite")):
+                simulate_walk(WeierstrassParams(b=1e300), 50, seed=0)
+
+    def test_overflowing_position_is_a_numeric_error(self):
+        # Steps of 1e308 are finite, but two in a row with the same sign are not.
+        params = WeierstrassParams(a=1e308, m=1e6)
+        assert np.abs(simulate_walk(params, 1, seed=0).positions[0]) == 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="walk position is not finite after step"):
+                simulate_walk(params, 50, seed=0)
 
 
 class TestSelfSimilarity:
