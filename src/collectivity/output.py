@@ -113,9 +113,12 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
             if len(parts) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
             try:
-                sets.append(np.array([float(v) for v in parts[1:]]))
+                row = np.array([float(v) for v in parts[1:]])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparseable eigenvalue row") from None
+            if not np.isfinite(row).all():
+                raise DataError(f"{path}:{lineno}: non-finite eigenvalue")
+            sets.append(row)
     if not sets:
         raise DataError(f"{path}: no eigenvalue rows")
     return sets

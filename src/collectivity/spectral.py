@@ -20,8 +20,10 @@ the Poisson exponential exp(-s).
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import os
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -34,7 +36,7 @@ from .errors import DataError, NumericError
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
-CHUNK_BYTES = 512 * 1024  # matrix entries per stacked decomposition in spectrum_trace
+CHUNK_BYTES = 512 * 1024  # bytes of entries per stacked call in spectrum_trace and spacing_statistics
 
 
 @dataclass
@@ -345,17 +347,44 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     least-squares polynomial of the given degree; spacings are differences
     of the smoothed function at the sorted eigenvalues. Non-increasing
     sections of the fit yield non-positive spacings, which are discarded.
+
+    eigenvalues may also be a (k, n) stack, one set per row; a 1-D input is
+    a stack of one. The rows are fitted by one stacked least-squares solve
+    and their spacings returned row by row. A row of zero range adds none.
+    The solve follows numpy's polynomial least-squares fit: Vandermonde
+    columns scaled to unit norm, singular values <= n * eps * s_max counted
+    as zero, and a RankWarning when a row's fit is rank deficient.
     """
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    n = len(ev)
+    stack = np.asarray(eigenvalues, dtype=float)
+    if stack.ndim not in (1, 2):
+        raise DataError(f"expected an eigenvalue set or a stack of them, got shape {stack.shape}")
+    n = stack.shape[-1]
     if n < degree + 2:
         raise DataError(f"{n} eigenvalues cannot support a degree-{degree} unfolding")
-    if ev[-1] - ev[0] <= 0:
+    ev = np.sort(stack.reshape(-1, n), axis=1)
+    ev = ev[ev[:, -1] - ev[:, 0] > 0]
+    if not len(ev):
         return np.empty(0)
+    # (k, n, degree + 1) Vandermonde stack, columns 1, x, ..., x**degree.
+    vander = np.empty(ev.shape + (degree + 1,))
+    vander[..., 0] = 1.0
+    vander[..., 1] = ev
+    for j in range(2, degree + 1):
+        np.multiply(vander[..., j - 1], ev, out=vander[..., j])
+    scale = np.sqrt(np.einsum("kij,kij->kj", vander, vander))
+    scale[scale == 0] = 1.0
+    vander /= scale[:, None, :]
+    u, s, vt = np.linalg.svd(vander, full_matrices=False)
+    kept = s > n * np.finfo(float).eps * s[:, :1]
+    if not kept.all():
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     staircase = np.arange(1, n + 1) - 0.5
-    coeffs = np.polynomial.polynomial.polyfit(ev, staircase, degree)
-    smoothed = np.polynomial.polynomial.polyval(ev, coeffs)
-    spacings = np.diff(smoothed)
+    projected = np.divide(staircase @ u, s, out=np.zeros_like(s), where=kept)
+    coeffs = np.matmul(projected[:, None, :], vt)[:, 0] / scale
+    smoothed = np.broadcast_to(coeffs[:, -1:], ev.shape)
+    for j in range(degree - 1, -1, -1):
+        smoothed = coeffs[:, j : j + 1] + smoothed * ev
+    spacings = np.diff(smoothed, axis=1)
     return spacings[spacings > 0]
 
 
@@ -382,29 +411,36 @@ def spacing_statistics(
     sets is an iterable of eigenvalue arrays, for example one per window.
     The top drop_top eigenvalues of each set (the collective modes) are
     excluded before unfolding; each set is unfolded separately and the
-    spacings are pooled, then rescaled to mean 1.
+    spacings are pooled in set order, then rescaled to mean 1. Consecutive
+    sets of one length are sorted and unfolded together, in chunks of at
+    most CHUNK_BYTES of Vandermonde entries (or one set).
     """
-    if drop_top < 0:
-        raise DataError(f"drop_top must be >= 0, got {drop_top}")
-    bulks = []
-    for ev in sets:
-        ev = np.sort(np.asarray(ev, dtype=float))
-        bulk = ev[: len(ev) - drop_top] if drop_top else ev
-        if len(bulk) >= 2:
-            bulks.append(bulk)
-    total = sum(len(b) for b in bulks)
+    for name, value, least in (("drop_top", drop_top, 0), ("degree", degree, 1), ("bins", bins, 1)):
+        if value < least:
+            raise DataError(f"{name} must be >= {least}, got {value}")
+    arrays = [np.asarray(ev, dtype=float) for ev in sets]
+    for i, ev in enumerate(arrays):
+        if not np.isfinite(ev).all():
+            raise DataError(f"eigenvalue set {i} has a non-finite eigenvalue")
+    arrays = [ev for ev in arrays if len(ev) - drop_top >= 2]
+    total = sum(len(ev) - drop_top for ev in arrays)
     if total < MIN_BULK_COUNT:
         raise DataError(f"pooled bulk has {total} eigenvalues, need >= {MIN_BULK_COUNT}")
 
     pooled = []
     dropped = 0
-    for bulk in bulks:
-        if len(bulk) < degree + 2:
-            dropped += len(bulk) - 1
+    for length, run in itertools.groupby(arrays, key=len):
+        n = length - drop_top
+        run = list(run)
+        if n < degree + 2:
+            dropped += len(run) * (n - 1)
             continue
-        spacings = unfold_spacings(bulk, degree)
-        dropped += (len(bulk) - 1) - len(spacings)
-        pooled.append(spacings)
+        rows = max(1, CHUNK_BYTES // (n * (degree + 1) * 8))
+        for start in range(0, len(run), rows):
+            chunk = run[start : start + rows]
+            spacings = unfold_spacings(np.sort(np.stack(chunk), axis=1)[:, :n], degree)
+            dropped += len(chunk) * (n - 1) - len(spacings)
+            pooled.append(spacings)
     if not pooled or sum(len(p) for p in pooled) == 0:
         raise DataError("no usable spacings after unfolding")
     spacings = np.concatenate(pooled)
@@ -418,6 +454,6 @@ def spacing_statistics(
         densities=densities,
         ks_wigner=ks_distance(spacings, wigner_cdf),
         ks_poisson=ks_distance(spacings, poisson_cdf),
-        n_sets=len(bulks),
+        n_sets=len(arrays),
         n_dropped=dropped,
     )

@@ -75,7 +75,7 @@ class PartialSum(NamedTuple):
 
 def series_depth(params: WeierstrassParams) -> int:
     """Smallest J whose geometric tail bound m**-J / 2 is below the truncation tolerance."""
-    return max(1, math.ceil(math.log(1.0 / (2.0 * params.truncation_tol)) / math.log(params.m)))
+    return max(1, math.ceil(-math.log(2.0 * params.truncation_tol) / math.log(params.m)))
 
 
 def _step_lengths(params: WeierstrassParams, j: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import lppl, synthetic
+from collectivity import lppl, synthetic, weierstrass
 from collectivity.cli import main
 
 
@@ -229,6 +229,45 @@ class TestOracleCommands:
         assert record["ks_wigner"] < record["ks_poisson"]
         hist = (out / "spacing_hist.tsv").read_text().splitlines()
         assert hist[0].split("\t") == ["s_lower", "s_upper", "density"]
+
+    @pytest.mark.parametrize(("cells", "extra"), [
+        (["nan"], []),
+        (["nan", "nan"], []),
+        (["nan"], ["--drop-top", "0"]),
+        (["inf"], ["--drop-top", "0"]),
+        (["-inf"], []),
+    ])
+    def test_non_finite_trace_cell_is_a_data_error_without_warnings(self, tmp_path, capsys,
+                                                                    cells, extra):
+        n = 30
+        header = "window_end_date\t" + "\t".join(f"lambda_{i+1}" for i in range(n))
+        rows = []
+        for s in range(5):
+            ev = [repr(float(v)) for v in np.linalg.eigvalsh(synthetic.goe_matrix(n, s))[::-1]]
+            if s == 3:
+                ev[4 : 4 + len(cells)] = cells
+            rows.append((dt.date(2020, 1, 1) + dt.timedelta(days=s)).isoformat() + "\t" + "\t".join(ev))
+        trace = tmp_path / "trace.tsv"
+        trace.write_text(header + "\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["spacing-stats", "--input", str(trace), *extra, "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": f"{trace}:5: non-finite eigenvalue"}
+        assert not (tmp_path / "o" / "spacing_stats.json").exists()
+
+    def test_tiny_series_tolerance_sets_the_depth(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["weierstrass-eval", "--tol", "1e-310", "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        depth = weierstrass.series_depth(weierstrass.WeierstrassParams(truncation_tol=1e-310))
+        assert depth == 515
+        rows = (tmp_path / "o" / "weierstrass_p.tsv").read_text().splitlines()[1:]
+        assert {row.split("\t")[2] for row in rows} == {str(depth)}
 
 
 class TestCorrWindowFlags:

@@ -416,6 +416,18 @@ class TestSpacingStatistics:
         assert len(kept_all.spacings) + kept_all.n_dropped == 5 * 29
         assert len(kept_bulk.spacings) + kept_bulk.n_dropped == 5 * 27
 
+    @pytest.mark.parametrize(("option", "value"), [("degree", 0), ("degree", -1), ("bins", 0)])
+    def test_rejects_degree_and_bins_below_one(self, option, value):
+        with pytest.raises(DataError, match=f"{option} must be >= 1, got {value}"):
+            spacing_statistics(self.goe_eigenvalue_sets(), **{option: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_set_is_named_by_index(self, bad):
+        sets = self.goe_eigenvalue_sets()
+        sets[2][7] = bad
+        with pytest.raises(DataError, match="eigenvalue set 2 has a non-finite eigenvalue"):
+            spacing_statistics(sets, drop_top=0)
+
     def test_unfolded_spacings_have_unit_mean(self):
         spacings = unfold_spacings(np.linalg.eigvalsh(goe_matrix(200, 3)))
         assert np.mean(spacings) == pytest.approx(1.0, rel=0.05)
@@ -430,3 +442,116 @@ class TestSpacingStatistics:
         u = (np.arange(1, 2001) - 0.5) / 2000
         sample = -np.log(1.0 - u)
         assert ks_distance(sample, poisson_cdf) < 1e-3
+
+
+def reference_statistics(sets, drop_top, degree):
+    """Spacings (mean 1), n_dropped and KS distances from one polyfit per set."""
+    pooled, dropped = [], 0
+    for ev in sets:
+        bulk = np.sort(ev)[: len(ev) - drop_top]
+        if len(bulk) < 2:
+            continue
+        if len(bulk) < degree + 2 or bulk[-1] == bulk[0]:
+            dropped += len(bulk) - 1
+            continue
+        staircase = np.arange(1, len(bulk) + 1) - 0.5
+        coeffs = np.polynomial.polynomial.polyfit(bulk, staircase, degree)
+        spacings = np.diff(np.polynomial.polynomial.polyval(bulk, coeffs))
+        dropped += len(bulk) - 1 - np.count_nonzero(spacings > 0)
+        pooled.append(spacings[spacings > 0])
+    spacings = np.concatenate(pooled)
+    spacings = spacings / spacings.mean()
+    return spacings, dropped, ks_distance(spacings, wigner_cdf), ks_distance(spacings, poisson_cdf)
+
+
+class TestUnfoldSpacings:
+    """The stacked unfolding agrees with one polyfit/polyval per set."""
+
+    @staticmethod
+    def assert_matches_reference(sets, drop_top=1, degree=5):
+        stats = spacing_statistics(sets, drop_top=drop_top, degree=degree)
+        spacings, dropped, ks_wigner, ks_poisson = reference_statistics(sets, drop_top, degree)
+        assert stats.n_dropped == dropped
+        np.testing.assert_allclose(stats.spacings, spacings, rtol=1e-8)
+        assert stats.ks_wigner == pytest.approx(ks_wigner, abs=1e-12)
+        assert stats.ks_poisson == pytest.approx(ks_poisson, abs=1e-12)
+        return stats
+
+    def test_goe_sets(self):
+        sets = [np.linalg.eigvalsh(goe_matrix(80, s)) for s in range(6)]
+        for drop_top in (0, 1, 3):
+            self.assert_matches_reference(sets, drop_top=drop_top)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_rank_deficient_one_factor_windows(self, degree):
+        # N = 100 assets over T = 30 days: each window has 71 eigenvalues at numerical zero.
+        panel = one_factor_panel(100, 60, 0.3, seed=8)
+        trace = spectrum_trace(rolling_windows(panel, 30))
+        sets = [s.eigenvalues for s in trace.snapshots]
+        assert all(np.sum(np.abs(ev) < 1e-9) >= 70 for ev in sets)
+        self.assert_matches_reference(sets, degree=degree)
+
+    def test_wide_spectrum_needs_the_column_scaling(self):
+        # Eigenvalues spread over [0, 1000]: the norms of the raw powers
+        # x**0 .. x**5 span sixteen orders of magnitude.
+        sets = []
+        for s in range(4):
+            ev = np.linalg.eigvalsh(goe_matrix(60, s))
+            sets.append(1000.0 * (ev - ev[0]) / (ev[-1] - ev[0]))
+        self.assert_matches_reference(sets, drop_top=0)
+
+    def test_mixed_lengths_pool_in_set_order(self):
+        rng = np.random.default_rng(5)
+        lengths = [40, 40, 25, 40, 3, 25, 25, 6, 40, 1, 0, 30]
+        sets = [np.sort(rng.uniform(0.0, 3.0, n)) for n in lengths]
+        stats = self.assert_matches_reference(sets)
+        # The sets of 1 and 0 values keep fewer than two after the drop; those
+        # of 3 and 6 are too short for a degree-5 fit and are dropped whole.
+        assert stats.n_sets == 10
+
+    def test_zero_range_set_adds_no_spacings(self):
+        rng = np.random.default_rng(6)
+        sets = [rng.uniform(0.0, 1.0, 50), np.full(50, 0.7), rng.uniform(0.0, 1.0, 50)]
+        stats = self.assert_matches_reference(sets, drop_top=0)
+        assert stats.n_dropped >= 49
+        with_flat = unfold_spacings(np.stack(sets))
+        without = unfold_spacings(np.stack([sets[0], sets[2]]))
+        assert with_flat.tobytes() == without.tobytes()
+        assert unfold_spacings(sets[1]).size == 0
+
+    def test_chunk_seams(self):
+        n, degree = 30, 2
+        # Three chunks, the last one partly filled.
+        count = 2 * (spectral.CHUNK_BYTES // (n * (degree + 1) * 8)) + 3
+        rng = np.random.default_rng(7)
+        sets = [rng.uniform(0.0, 2.0, n + 1) for _ in range(count)]
+        self.assert_matches_reference(sets, degree=degree)
+
+    def test_one_set_is_a_stack_of_one(self):
+        ev = np.linalg.eigvalsh(goe_matrix(50, 9))
+        assert unfold_spacings(ev).tobytes() == unfold_spacings(ev[::-1][None]).tobytes()
+
+    def test_stack_is_unfolded_row_by_row(self):
+        stack = np.stack([np.linalg.eigvalsh(goe_matrix(40, s)) for s in range(3)])
+        rows = np.concatenate([unfold_spacings(row) for row in stack])
+        np.testing.assert_allclose(unfold_spacings(stack), rows, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 10)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(DataError, match="expected an eigenvalue set or a stack"):
+            unfold_spacings(np.ones(shape))
+
+    def test_too_few_values_for_the_degree(self):
+        with pytest.raises(DataError, match="6 eigenvalues cannot support a degree-5 unfolding"):
+            unfold_spacings(np.arange(6.0))
+
+    def test_rank_deficient_bulk_warns_like_polyfit(self):
+        # Three distinct values cannot pin down six coefficients.
+        bulk = np.repeat([0.1, 0.5, 0.9], 10)
+        sets = [np.append(bulk, 5.0)] + [np.linspace(0.0, 1.0, 31) ** p for p in (1, 2, 3)]
+        with pytest.warns(np.exceptions.RankWarning):
+            stats = spacing_statistics(sets)
+        with pytest.warns(np.exceptions.RankWarning):
+            spacings, dropped, _, _ = reference_statistics(sets, 1, 5)
+        assert stats.n_dropped == dropped
+        np.testing.assert_allclose(stats.spacings, spacings, rtol=1e-8)
