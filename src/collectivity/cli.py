@@ -294,8 +294,11 @@ def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant,
     fitted = lppl.evaluate_model(result.model, times)
     output.write_fit_record(out / "lppl_fit.json", result, origin)
     output.write_fit_curve(out / "lppl_curve.tsv", times, values, fitted)
+    diag = result.diagnostics
     _finish("lppl-fit", out_dir, ctx.params, ["lppl_fit.json", "lppl_curve.tsv"],
-            extra={"origin_date": origin.isoformat()})
+            extra={"origin_date": origin.isoformat(), "grid_nodes": diag.grid_nodes,
+                   "nodes_skipped": diag.nodes_skipped, "refine_sweeps": diag.refine_sweeps,
+                   "converged": diag.converged})
 
 
 @cli.command()

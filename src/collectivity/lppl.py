@@ -82,6 +82,7 @@ class FitDiagnostics:
     grid_nodes: int = 0
     nodes_skipped: int = 0
     refine_sweeps: int = 0
+    converged: bool = False   # false when refinement stopped at MAX_REFINE_SWEEPS
     grid_sse: float = math.inf
 
 
@@ -270,17 +271,19 @@ def _grid_stage(times, y, config, diag):
 
     The oscillation columns b_j of one lam (and phi) are cos(theta), sin(theta)
     for "cosine" (phi = 0 only) and |cos(theta + phi)| over the phi scan for
-    "abs-cosine". With env = x**alpha, each Gram entry for all (alpha, lam*phi)
-    nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T, and each
-    right-hand side is (env * y) @ b_j.T. _ldl_projection turns these entries
-    into each node's SSE and normalized determinant with a closed-form LDL^T:
-    no matrix is assembled and no LAPACK routine runs per node. A node is
-    skipped, and counted, unless its Gram and right-hand-side entries are
-    finite, its diagonal is positive and its normalized determinant is finite
-    and above DEGENERACY_TOL. For "abs-cosine", B >= 0: a node whose unconstrained
-    B is negative (z_last < 0) takes the SSE of the envelope column alone,
-    y.y - (env.y)**2 / (env.env). Ties resolve to the first node in
-    (lam, alpha, phi, t_c) order.
+    "abs-cosine"; the |cos| scan rotates (cos theta, sin theta) by every phi in
+    one batched product. With env = x**alpha, each Gram entry for all
+    (alpha, lam*phi) nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T,
+    and each right-hand side is (env * y) @ b_j.T; for "abs-cosine" the cross
+    entry and the right-hand side come from one product of the stacked
+    [env**2; env * y]. _ldl_projection turns these entries into each node's SSE
+    and normalized determinant with a closed-form LDL^T: no matrix is assembled
+    and no LAPACK routine runs per node. A node is skipped, and counted, unless
+    its Gram and right-hand-side entries are finite, its diagonal is positive
+    and its normalized determinant is finite and above DEGENERACY_TOL. For
+    "abs-cosine", B >= 0: a node whose unconstrained B is negative (z_last < 0)
+    takes the SSE of the envelope column alone, y.y - (env.y)**2 / (env.env).
+    Ties resolve to the first node in (lam, alpha, phi, t_c) order.
     """
     tc_grid = config.tc_grid
     if config.direction == "bubble":
@@ -292,42 +295,64 @@ def _grid_stage(times, y, config, diag):
     # math.log as in _node_solve, so both stages see the same frequency for a node.
     omegas = np.array([2.0 * math.pi / math.log(lam) for lam in config.lam_grid])
     alphas = config.alpha_grid
-    if config.variant == "cosine":
-        phis, n_osc = np.zeros(1), 2
-    else:
+    n_lam, n_alpha, n_t = len(omegas), len(alphas), len(times)
+    abs_cosine = config.variant == "abs-cosine"
+    if abs_cosine:
         phis, n_osc = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS), 1
-    n_cols = len(omegas) * len(phis)
-    # Work buffers shared by every t_c row: the oscillation columns and one product of them.
-    basis = np.empty((n_osc, n_cols, len(times)))
-    product = np.empty((n_cols, len(times)))
+    else:
+        phis, n_osc = np.zeros(1), 2
+    n_cols = n_lam * len(phis)
+    # Work buffers shared by every t_c row.
+    theta = np.empty((n_lam, n_t))
+    basis = np.empty((n_osc, n_cols, n_t))           # the oscillation columns
+    product = np.empty((n_cols, n_t))
+    env = np.empty((n_alpha, n_t))
+    weights = np.empty((2 * n_alpha, n_t))
+    env_sq, env_y = weights[:n_alpha], weights[n_alpha:]
+    squares = np.empty((n_osc * (n_osc + 1) // 2, n_alpha, n_cols))
+    if abs_cosine:
+        # cos(theta + phi) = cos(phi) cos(theta) - sin(phi) sin(theta): each phi's
+        # column is a fixed rotation of (cos theta, sin theta).
+        rotation = np.column_stack([np.cos(phis), -np.sin(phis)])
+        cos_sin = np.empty((n_lam, 2, n_t))
+        scan = basis[0].reshape(n_lam, PHI_SCAN_POINTS, n_t)
+        first_order = np.empty((2 * n_alpha, n_cols))
 
-    best_sse = np.full((len(alphas), n_cols), np.inf)
+    best_sse = np.full((n_alpha, n_cols), np.inf)
     best_row = np.zeros(best_sse.shape, dtype=int)
     for row, logx_row in enumerate(logx):
-        theta = omegas[:, None] * logx_row[None, :]
-        if config.variant == "cosine":
+        np.multiply(omegas[:, None], logx_row[None, :], out=theta)
+        if abs_cosine:
+            np.cos(theta, out=cos_sin[:, 0])
+            np.sin(theta, out=cos_sin[:, 1])
+            np.matmul(rotation, cos_sin, out=scan)
+            np.abs(scan, out=scan)
+        else:
             np.cos(theta, out=basis[0])
             np.sin(theta, out=basis[1])
-        else:
-            shifted = basis[0].reshape(len(omegas), len(phis), -1)
-            np.add(theta[:, None, :], phis[None, :, None], out=shifted)
-            np.abs(np.cos(shifted, out=shifted), out=shifted)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            env = np.exp(alphas[:, None] * logx_row[None, :])
-            env_sq = env * env
-            env_y = env * y
+            np.multiply(alphas[:, None], logx_row[None, :], out=env)
+            np.exp(env, out=env)
+            np.multiply(env, env, out=env_sq)
+            np.multiply(env, y, out=env_y)
             # Lower triangle of the Gram matrix and the right-hand side, entry by entry,
             # over (alpha, lam*phi); the constant column's entries broadcast over lam*phi.
             gram = [[env_sq.sum(axis=1)[:, None]]]
             rhs = [(env @ y)[:, None]]
-            for j in range(n_osc):
-                gram_row = [env_sq @ basis[j].T]
+            if abs_cosine:
+                np.matmul(weights, basis[0].T, out=first_order)
+                cross_rhs = [(first_order[:n_alpha], first_order[n_alpha:])]
+            else:
+                cross_rhs = [(env_sq @ b.T, env_y @ b.T) for b in basis]
+            for j, (cross, right) in enumerate(cross_rhs):
+                gram_row = [cross]
                 for k in range(j + 1):
                     np.multiply(basis[j], basis[k], out=product)
-                    gram_row.append(env_sq @ product.T)
+                    square = squares[j * (j + 1) // 2 + k]
+                    gram_row.append(np.matmul(env_sq, product.T, out=square))
                 gram.append(gram_row)
-                rhs.append(env_y @ basis[j].T)
+                rhs.append(right)
 
         ok = np.ones(best_sse.shape, dtype=bool)
         for entry in itertools.chain(*gram, rhs):
@@ -434,6 +459,7 @@ def _refine(times, y, config, start, diag):
         if change < REFINE_TOL:
             steps = [0.5 * s for s in steps]
             if max(s / s0 for s, s0 in zip(steps, initial_steps)) < 1e-6:
+                diag.converged = True
                 break
     diag.refine_sweeps = sweeps
     return params, best_sse

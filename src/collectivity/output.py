@@ -102,8 +102,13 @@ def write_spectrum_trace(path: str | Path, trace: RollingSpectrumTrace) -> None:
 
 
 def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
-    """Eigenvalue rows of a spectrum trace file (inverse of write_spectrum_trace)."""
+    """Eigenvalue rows of a spectrum trace file (inverse of write_spectrum_trace).
+
+    Window end dates must be ISO dates, strictly increasing as in a
+    RollingSpectrumTrace.
+    """
     sets = []
+    prev_end = None
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "window_end_date":
@@ -112,6 +117,13 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+            try:
+                end = dt.date.fromisoformat(parts[0])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparseable window_end_date {parts[0]!r}") from None
+            if prev_end is not None and end <= prev_end:
+                raise DataError(f"{path}:{lineno}: window ends not strictly increasing at {end}")
+            prev_end = end
             try:
                 row = np.array([float(v) for v in parts[1:]])
             except ValueError:

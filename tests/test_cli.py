@@ -117,6 +117,32 @@ class TestLpplCommands:
         manifest = json.loads((out / "lppl_fit_manifest.json").read_text())
         assert manifest["config"]["origin_date"] == "2005-01-01"
 
+    def test_manifest_records_the_fit_diagnostics(self, lppl_series_csv, tmp_path):
+        out = tmp_path / "fit"
+        rc = main(["lppl-fit", "--input", str(lppl_series_csv),
+                   "--tc-nodes", "60", "--lam-nodes", "11", "--alpha-nodes", "5",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        config = json.loads((out / "lppl_fit_manifest.json").read_text())["config"]
+        # The default t_c grid starts at the last time, which the fit clips.
+        assert config["grid_nodes"] == 59 * 11 * 5
+        assert config["nodes_skipped"] == 0
+        assert 0 < config["refine_sweeps"] < lppl.MAX_REFINE_SWEEPS
+        assert config["converged"] is True
+
+    def test_refine_stopped_at_the_cap_is_reported(self, lppl_series_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(lppl, "MAX_REFINE_SWEEPS", 3)
+        out = tmp_path / "fit"
+        rc = main(["lppl-fit", "--input", str(lppl_series_csv),
+                   "--tc-nodes", "60", "--lam-nodes", "11", "--alpha-nodes", "5",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        config = json.loads((out / "lppl_fit_manifest.json").read_text())["config"]
+        assert config["refine_sweeps"] == 3
+        assert config["converged"] is False
+        record = json.loads((out / "lppl_fit.json").read_text())
+        assert "converged" not in record and "refine_sweeps" not in record
+
     def test_extrema_accepts_iso_critical_time(self, lppl_series_csv, tmp_path):
         out = tmp_path / "ex"
         rc = main(["extrema", "--input", str(lppl_series_csv),
@@ -256,6 +282,29 @@ class TestOracleCommands:
         assert rc == 2
         (line,) = captured.err.splitlines()
         assert json.loads(line) == {"error": "data", "message": f"{trace}:5: non-finite eigenvalue"}
+        assert not (tmp_path / "o" / "spacing_stats.json").exists()
+
+    @pytest.mark.parametrize(("dates", "message"), [
+        (["2020-01-01", "2020-01-02", "not-a-date", "2020-01-04", "2020-01-05"],
+         "4: unparseable window_end_date 'not-a-date'"),
+        (["2020-01-01", "2020-01-02", "2020-01-04", "2020-01-03", "2020-01-05"],
+         "5: window ends not strictly increasing at 2020-01-03"),
+        (["2020-01-01", "2020-01-02", "2020-01-02", "2020-01-03", "2020-01-04"],
+         "4: window ends not strictly increasing at 2020-01-02"),
+    ])
+    def test_bad_window_end_date_is_a_data_error(self, tmp_path, capsys, dates, message):
+        n = 30
+        header = "window_end_date\t" + "\t".join(f"lambda_{i+1}" for i in range(n))
+        rows = []
+        for s, date in enumerate(dates):
+            ev = np.linalg.eigvalsh(synthetic.goe_matrix(n, s))[::-1]
+            rows.append(date + "\t" + "\t".join(repr(float(v)) for v in ev))
+        trace = tmp_path / "trace.tsv"
+        trace.write_text(header + "\n" + "\n".join(rows) + "\n")
+        rc = main(["spacing-stats", "--input", str(trace), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": f"{trace}:{message}"}
         assert not (tmp_path / "o" / "spacing_stats.json").exists()
 
     def test_tiny_series_tolerance_sets_the_depth(self, tmp_path, capsys):

@@ -305,6 +305,30 @@ class TestGridStage:
         assert diag.grid_nodes == 6 * 5 * 4 * n_phi
         assert diag.nodes_skipped == 0
 
+    @pytest.mark.parametrize("seed", [23, 58])
+    def test_abs_cosine_matches_node_by_node_search_at_bench_size(self, seed):
+        # The benchmark's |cos| series: 300 daily points before t_c = 330, 1% noise.
+        t = np.arange(300.0)
+        model = LogPeriodicModel(tc=330.0, alpha=0.5, lam=2.0, phi=1.0, a=2.0, b=0.3,
+                                 variant="abs-cosine")
+        clean = evaluate_model(model, t)
+        rng = np.random.default_rng(seed)
+        y = clean + 0.01 * np.std(clean) * rng.standard_normal(len(t))
+        cfg = FitConfig(
+            tc_grid=np.linspace(300.5, 600.0, 4),
+            lam_grid=np.linspace(1.5, 3.5, 5),
+            alpha_grid=np.linspace(-1.0, 1.0, 3),
+            variant="abs-cosine",
+        )
+        want_sse, want_node, _ = self.reference_search(t, y, cfg)
+        want_skipped = int(np.sum(~(self.reference_determinants(t, cfg) > DEGENERACY_TOL)))
+        diag = FitDiagnostics()
+        grid_sse, node = _grid_stage(t, y, cfg, diag)
+        assert node == want_node
+        assert grid_sse == pytest.approx(want_sse, rel=1e-8)
+        assert diag.grid_nodes == 4 * 5 * 3 * PHI_SCAN_POINTS
+        assert diag.nodes_skipped == want_skipped
+
     @classmethod
     def reference_determinants(cls, times, config):
         # det of each node's column-normalized design.T @ design, from _node_solve's columns.
