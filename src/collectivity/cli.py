@@ -17,6 +17,7 @@ A JSON config file may preload option values per subcommand
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -379,7 +380,7 @@ def weierstrass_walk(ctx, a, b, m, steps, seed, out_dir):
     out = _ensure_out_dir(out_dir)
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m)
     walk = weierstrass.simulate_walk(params, steps, seed)
-    rows = [(0, 0.0)] + [(i + 1, pos) for i, pos in enumerate(walk.positions)]
+    rows = itertools.chain([(0, 0.0)], enumerate(walk.positions, start=1))
     output.write_tsv(out / "weierstrass_walk.tsv", ["step", "position"], rows)
     _finish("weierstrass-walk", out_dir, ctx.params, ["weierstrass_walk.tsv"], seed=seed)
 

@@ -547,6 +547,8 @@ def extrema_progression(
         raise DataError("times and values must be equal-length 1-D arrays")
     if smooth_width < 1:
         raise DataError(f"smooth_width must be >= 1, got {smooth_width}")
+    if smooth_width > len(times):
+        raise DataError(f"smooth_width {smooth_width} exceeds the {len(times)} points of the series")
     x = distance_to_critical(times, tc, direction)
     order = np.argsort(x)
     x = x[order]

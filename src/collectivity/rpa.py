@@ -16,11 +16,12 @@ mechanism for the collectivity seen in correlation-matrix spectra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .spectral import symmetric_eigendecomposition
 
 STRENGTH_TOL = 1e-10
@@ -35,9 +36,15 @@ class SchematicRpaModel:
     d: np.ndarray
 
     def __post_init__(self) -> None:
+        for name, value in (("epsilon", self.epsilon), ("kappa", self.kappa)):
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         self.d = np.asarray(self.d, dtype=float)
         if self.d.ndim != 1 or len(self.d) < 2:
             raise DataError(f"need at least 2 transition amplitudes, got shape {self.d.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.d))
+        if bad.size:
+            raise DataError(f"d must be finite, got {self.d[bad[0]]} at index {bad[0]}")
         if not np.any(self.d != 0):
             raise DataError("transition amplitudes are all zero")
 
@@ -72,8 +79,12 @@ class RpaSolution:
 
 
 def build_hamiltonian(model: SchematicRpaModel) -> np.ndarray:
-    """Symmetric N x N matrix epsilon * I + kappa * outer(d, d)."""
-    return model.epsilon * np.eye(model.n) + model.kappa * np.outer(model.d, model.d)
+    """Symmetric N x N matrix epsilon * I + kappa * outer(d, d); an overflow is a NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa = 0 times an overflowed d d^T is nan
+        h = model.epsilon * np.eye(model.n) + model.kappa * np.outer(model.d, model.d)
+    if not np.isfinite(h).all():
+        raise NumericError("Hamiltonian epsilon * I + kappa * d d^T is not finite")
+    return h
 
 
 def solve_analytic(model: SchematicRpaModel) -> RpaSolution:

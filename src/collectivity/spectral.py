@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corr import CorrelationMatrix, WindowInfo
+from .corr import CorrelationMatrix
 from .errors import DataError, NumericError
 
 SYMMETRY_TOL = 1e-12
@@ -45,7 +45,6 @@ class EigenSpectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    window: WindowInfo | None = None
 
     @property
     def leading_vector(self) -> np.ndarray:
@@ -199,7 +198,7 @@ def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     """Spectrum of a correlation matrix, enforcing positive semidefiniteness up to 1e-9."""
     values, vectors = symmetric_eigendecomposition(matrix.entries)
     _check_semidefinite(values)
-    return EigenSpectrum(values, vectors, matrix.window)
+    return EigenSpectrum(values, vectors)
 
 
 def _pool_workers() -> int:

@@ -17,10 +17,7 @@ which states the discrete self-similarity of the step hierarchy: the
 function at scale b*k reproduces itself at scale k up to a weight 1/m and
 one fresh cosine. The self-similarity analysis estimates the scale ratio
 directly from sampled values by scanning candidate ratios L and regressing
-p(k) on [p(L k), cos(k a)]; the residual vanishes only at L = b. (Extrema
-spacing ratios of p itself are also reported, but for whole-number b the
-series is exactly periodic in k with period 2*pi/a, so those ratios track
-the periodic structure rather than the scale ratio.)
+p(k) on [p(L k), cos(k a)]; the residual vanishes only at L = b.
 """
 
 from __future__ import annotations
@@ -32,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericError
-from .lppl import FitConfig, LpplFitResult, extrema_progression, fit_model
+
+MAX_ARRAY_BYTES = 1 << 27  # largest array weierstrass_values or simulate_walk may allocate
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,13 @@ def weierstrass_values(k, params: WeierstrassParams) -> np.ndarray:
     """Truncated series values at the given wave numbers (vectorized)."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     depth = series_depth(params)
+    n_bytes = 8 * k.size * depth
+    if n_bytes > MAX_ARRAY_BYTES:
+        raise DataError(
+            f"series depth {depth} (m = {params.m}, truncation_tol = {params.truncation_tol}) "
+            f"at {k.size} wave numbers needs a {n_bytes:,}-byte argument matrix, "
+            f"above the {MAX_ARRAY_BYTES:,}-byte cap"
+        )
     j = np.arange(depth)
     weights = params.m ** (-j.astype(float))
     with np.errstate(over="ignore"):
@@ -147,6 +152,11 @@ def simulate_walk(params: WeierstrassParams, n_steps: int, seed: int) -> WalkRes
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
+    if 8 * n_steps > MAX_ARRAY_BYTES:
+        raise DataError(
+            f"n_steps = {n_steps} needs {8 * n_steps:,} bytes per array, "
+            f"above the {MAX_ARRAY_BYTES:,}-byte cap"
+        )
     rng = np.random.default_rng(seed)
     exponents = rng.geometric(p=(params.m - 1.0) / params.m, size=n_steps) - 1
     signs = rng.integers(0, 2, size=n_steps) * 2 - 1
@@ -161,16 +171,13 @@ def simulate_walk(params: WeierstrassParams, n_steps: int, seed: int) -> WalkRes
 
 @dataclass
 class SelfSimilarityResult:
-    """Scale-ratio estimate with the extremum and model-fit diagnostics behind it."""
+    """Scale-ratio estimate with the regression weights that confirm it."""
 
     lambda_estimate: float
     relative_deviation: float
     scan_residual: float
     matched_weight: float
     matched_amplitude: float
-    extrema_ratios: np.ndarray
-    extrema_lambda: float
-    fit: LpplFitResult
 
 
 def _scan_objective(lam: float, k: np.ndarray, pk: np.ndarray, params: WeierstrassParams):
@@ -198,22 +205,17 @@ def _golden_minimize(fn, lo: float, hi: float, iterations: int = 80) -> float:
     return 0.5 * (lo + hi)
 
 
-def analyze_self_similarity(
-    params: WeierstrassParams,
-    k_grid,
-    lam_scan=None,
-) -> SelfSimilarityResult:
+def analyze_self_similarity(params: WeierstrassParams, k_grid) -> SelfSimilarityResult:
     """Estimate the discrete scale ratio of the step distribution from sampled values.
 
     The primary estimate scans candidate ratios L, regressing p(k) on
     [p(L k), cos(k a)] over the grid; the self-similarity of the series
     makes the residual vanish at the true ratio, and the fitted weights
-    recover 1/m and (m-1)/(2m) as an independent consistency check. Extrema
-    of p on the grid (located in ln k) and a log-periodic model fit with
-    x = k are reported as secondary diagnostics.
+    recover 1/m and (m-1)/(2m) as an independent consistency check.
 
     The grid must span at least 3 decades and resolve at least 3 interior
-    extrema of p.
+    extrema of p: where p is monotone, p(L k) and cos(k a) are both nearly
+    quadratic in k and the regression fits every L.
     """
     k = np.sort(np.asarray(k_grid, dtype=float))
     if k.ndim != 1 or len(k) < 20:
@@ -226,8 +228,12 @@ def analyze_self_similarity(
         )
 
     pk = weierstrass_values(k, params)
+    slopes = np.sign(np.diff(pk))
+    extrema = int(np.count_nonzero(slopes[:-1] * slopes[1:] < 0))
+    if extrema < 3:
+        raise DataError(f"k grid resolves {extrema} interior extrema of p, need at least 3")
 
-    scan = np.linspace(1.2, 4.0, 141) if lam_scan is None else np.asarray(lam_scan, dtype=float)
+    scan = np.linspace(1.2, 4.0, 141)
     residuals = [_scan_objective(l, k, pk, params)[0] for l in scan]
     i_best = int(np.argmin(residuals))
     lo = scan[max(i_best - 1, 0)]
@@ -235,27 +241,10 @@ def analyze_self_similarity(
     lam_hat = _golden_minimize(lambda l: _scan_objective(l, k, pk, params)[0], lo, hi)
     scan_residual, coef = _scan_objective(lam_hat, k, pk, params)
 
-    progression = extrema_progression(k, pk, tc=0.0, direction="antibubble")
-
-    fit = fit_model(
-        k,
-        pk,
-        FitConfig(
-            tc_grid=np.array([0.0]),
-            lam_grid=np.linspace(1.5, 3.5, 41),
-            alpha_grid=np.linspace(-3.0, 0.0, 31),
-            variant="cosine",
-            direction="antibubble",
-        ),
-    )
-
     return SelfSimilarityResult(
         lambda_estimate=float(lam_hat),
         relative_deviation=float(abs(lam_hat - params.b) / params.b),
         scan_residual=scan_residual,
         matched_weight=float(coef[0]),
         matched_amplitude=float(coef[1]),
-        extrema_ratios=progression.ratios,
-        extrema_lambda=progression.lambda_estimate,
-        fit=fit,
     )

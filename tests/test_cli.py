@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -537,6 +538,67 @@ class TestErrorSurface:
         record = json.loads(line)
         assert record["error"] == "numeric"
         assert record["message"].startswith(message)
+        assert not list((tmp_path / "o").glob("*.tsv"))
+
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["--kappa", "inf"], "kappa must be finite, got inf"),
+        (["--epsilon", "nan"], "epsilon must be finite, got nan"),
+        (["--amplitudes", "1,nan,2"], "d must be finite, got nan at index 1"),
+    ], ids=["kappa", "epsilon", "amplitudes"])
+    def test_non_finite_rpa_input_is_a_data_error_naming_it(self, tmp_path, capsys, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rpa-demo", *args, "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": message}
+        assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
+
+    def test_overflowing_rpa_hamiltonian_is_a_numeric_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rpa-demo", "--kappa", "1e308", "--amplitudes", "1e200,1e200",
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "numeric",
+                                    "message": "Hamiltonian epsilon * I + kappa * d d^T is not finite"}
+        assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
+
+    def test_smoothing_wider_than_the_series_is_a_data_error(self, tmp_path, capsys,
+                                                              lppl_series_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["extrema", "--input", str(lppl_series_csv), "--t-c", "400",
+                       "--smooth-width", "200", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data",
+                                    "message": "smooth_width 200 exceeds the 181 points of the series"}
+        assert not (tmp_path / "o" / "extrema.json").exists()
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["weierstrass-eval", "--m", "1.0000001"],
+         "series depth 269378753 (m = 1.0000001, truncation_tol = 1e-12) at 601 wave numbers "
+         "needs a 1,295,173,044,424-byte argument matrix, above the 134,217,728-byte cap"),
+        (["weierstrass-walk", "--steps", "1000000000000"],
+         "n_steps = 1000000000000 needs 8,000,000,000,000 bytes per array, "
+         "above the 134,217,728-byte cap"),
+    ], ids=["eval-depth", "walk-steps"])
+    def test_weierstrass_allocation_over_the_cap_is_a_data_error(self, tmp_path, capsys, args,
+                                                                 message):
+        tracemalloc.start()
+        try:
+            rc = main(args + ["--out-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": message}
+        # numpy reports its buffers to tracemalloc: nothing near the estimate was allocated.
+        assert peak < 2**20
         assert not list((tmp_path / "o").glob("*.tsv"))
 
 

@@ -433,6 +433,11 @@ class TestExtremaProgression:
         assert len(smoothed.minima) + len(smoothed.maxima) < len(raw.minima) + len(raw.maxima)
         assert smoothed.lambda_estimate == pytest.approx(lam, rel=0.05)
 
+    def test_smoothing_wider_than_the_series_is_rejected(self):
+        x, y = self.log_periodic_series(2.0, n=40)
+        with pytest.raises(DataError, match="^smooth_width 60 exceeds the 40 points of the series$"):
+            extrema_progression(x, y, tc=0.0, direction="antibubble", smooth_width=60)
+
     def test_bubble_direction_uses_distance_before_tc(self):
         lam = 2.0
         model = LogPeriodicModel(tc=1000.0, alpha=0.0, lam=lam, phi=0.5, a=1.0, b=0.3)

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collectivity.errors import DataError
+from collectivity.errors import DataError, NumericError
 from collectivity.rpa import (
     SchematicRpaModel,
     build_hamiltonian,
@@ -24,6 +27,17 @@ class TestModel:
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(DataError, match="all zero"):
             SchematicRpaModel(1.0, 0.5, np.zeros(4))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["epsilon", "kappa"])
+    def test_non_finite_parameter_is_rejected_by_name(self, field, value):
+        args = {"epsilon": 1.0, "kappa": 0.5, "d": np.ones(3), field: value}
+        with pytest.raises(DataError, match=f"^{field} must be finite, got {value}$"):
+            SchematicRpaModel(**args)
+
+    def test_non_finite_amplitude_is_rejected_by_index(self):
+        with pytest.raises(DataError, match="^d must be finite, got inf at index 2$"):
+            SchematicRpaModel(1.0, 0.5, np.array([1.0, 2.0, np.inf, np.nan]))
 
 
 class TestBuildHamiltonian:
@@ -48,6 +62,15 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(model)
         assert np.allclose(np.diag(h), 0.3 - 0.4 * d**2)
         assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("kappa", [1e308, 0.0])
+    def test_overflow_is_a_numeric_error(self, kappa):
+        # d d^T overflows; with kappa = 0 the product is inf * 0 = nan.
+        model = SchematicRpaModel(1.0, kappa, np.array([1e200, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="Hamiltonian .* is not finite"):
+                build_hamiltonian(model)
 
 
 class TestSolveAnalytic:

@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from collectivity.errors import DataError, NumericError
+from collectivity import weierstrass
 from collectivity.weierstrass import (
+    MAX_ARRAY_BYTES,
     WeierstrassParams,
     analyze_self_similarity,
     renewal_residual,
@@ -193,13 +197,6 @@ class TestSelfSimilarity:
         # The regression weights independently recover 1/m and (m-1)/(2m).
         assert result.matched_weight == pytest.approx(1.0 / m, rel=1e-6)
         assert result.matched_amplitude == pytest.approx((m - 1.0) / (2.0 * m), rel=1e-6)
-
-    def test_reports_extrema_ratios_and_fit(self):
-        params = WeierstrassParams()
-        result = analyze_self_similarity(params, np.logspace(-1.0, 2.1, 500))
-        assert len(result.extrema_ratios) >= 1
-        assert result.extrema_lambda > 0
-        assert result.fit.model.lam > 1.0
         assert result.scan_residual < 1e-12
 
     def test_narrow_grid_is_an_error(self):
@@ -211,3 +208,46 @@ class TestSelfSimilarity:
         params = WeierstrassParams()
         with pytest.raises(DataError, match="extrema"):
             analyze_self_similarity(params, np.logspace(-5.0, -1.0, 300))
+
+
+def test_oracle_does_not_import_lppl():
+    # The walk is the exact oracle for the log-periodic code, so it must not depend on it.
+    tree = ast.parse(Path(weierstrass.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert not [name for name in imported if "lppl" in name.split(".")]
+
+
+class TestAllocationCap:
+    def test_defaults_sit_far_below_the_cap(self):
+        assert 8 * 601 * series_depth(WeierstrassParams()) * 1000 < MAX_ARRAY_BYTES
+        assert 8 * 1_000_000 * 10 < MAX_ARRAY_BYTES
+
+    def test_deep_series_is_rejected_before_allocating(self):
+        params = WeierstrassParams(m=1.0000001)
+        assert series_depth(params) == 269_378_753
+        with pytest.raises(DataError, match=re.escape(
+                "series depth 269378753 (m = 1.0000001, truncation_tol = 1e-12) at 1 wave numbers "
+                "needs a 2,155,030,024-byte argument matrix")):
+            weierstrass_values([1.0], params)
+
+    def test_cap_counts_wave_numbers_times_depth(self, monkeypatch):
+        params = WeierstrassParams()
+        depth = series_depth(params)
+        monkeypatch.setattr(weierstrass, "MAX_ARRAY_BYTES", 8 * 100 * depth)
+        assert weierstrass_values(np.ones(100), params).shape == (100,)
+        with pytest.raises(DataError, match="at 101 wave numbers"):
+            weierstrass_values(np.ones(101), params)
+
+    def test_long_walk_is_rejected_before_allocating(self, monkeypatch):
+        with pytest.raises(DataError, match=re.escape(
+                "n_steps = 1000000000000 needs 8,000,000,000,000 bytes per array")):
+            simulate_walk(WeierstrassParams(), 10**12, seed=0)
+        monkeypatch.setattr(weierstrass, "MAX_ARRAY_BYTES", 8 * 50)
+        assert len(simulate_walk(WeierstrassParams(), 50, seed=0).positions) == 50
+        with pytest.raises(DataError, match="n_steps = 51 "):
+            simulate_walk(WeierstrassParams(), 51, seed=0)
