@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, corr, lppl, marketdata, output, rpa, spectral, weierstrass
 from .errors import DataError, NumericError
+from .resources import MAX_ARRAY_BYTES
 
 
 def _echo_config(params: dict) -> dict:
@@ -249,6 +250,13 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
             extra={"alignment_policy": "intersect"})
 
 
+def _check_array_bytes(n_bytes: int, what: str) -> None:
+    """Reject option values that would size an array above MAX_ARRAY_BYTES, before it exists."""
+    if n_bytes > MAX_ARRAY_BYTES:
+        raise DataError(f"{what} needs a {n_bytes:,}-byte array, "
+                        f"above the {MAX_ARRAY_BYTES:,}-byte cap")
+
+
 def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -> np.ndarray:
     """nodes points from lo to hi; with neither bound given, the default grid's span."""
     if lo is None and hi is None:
@@ -283,6 +291,13 @@ def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant,
     """Fit the log-periodic power law; t_c is searched in days since the series start."""
     out = _ensure_out_dir(out_dir)
     origin, times, values = _load_series(input_path, date_col, value_col, delimiter, take_log)
+    # The grid stage's largest arrays: log(t_c - t) per t_c row, the stacked
+    # [env**2; env * y] per alpha, and the best SSE per (alpha, lam, phi) node.
+    n_t, n_phi = len(times), lppl.PHI_SCAN_POINTS if variant == "abs-cosine" else 1
+    _check_array_bytes(8 * tc_nodes * n_t, f"--tc-nodes {tc_nodes} at {n_t} points")
+    _check_array_bytes(16 * alpha_nodes * n_t, f"--alpha-nodes {alpha_nodes} at {n_t} points")
+    _check_array_bytes(8 * alpha_nodes * lam_nodes * n_phi,
+                       f"--alpha-nodes {alpha_nodes} x --lam-nodes {lam_nodes} x {n_phi} phi nodes")
     defaults = lppl.default_fit_config(times, variant, direction)
     config = lppl.FitConfig(
         tc_grid=_grid(tc_min, tc_max, tc_nodes, defaults.tc_grid),
@@ -356,6 +371,7 @@ def weierstrass_eval(ctx, a, b, m, tol, k_min, k_max, k_points, out_dir):
     if not 0 < k_min < k_max < np.inf:
         raise click.UsageError(f"need 0 < k-min < k-max, both finite, got [{k_min}, {k_max}]")
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m, truncation_tol=tol)
+    _check_array_bytes(8 * k_points, f"--k-points {k_points}")
     k = np.logspace(np.log10(k_min), np.log10(k_max), k_points)
     values = weierstrass.weierstrass_values(k, params)
     depth = weierstrass.series_depth(params)

@@ -17,8 +17,9 @@ Fitting is a deterministic two-stage search. Stage 1 scans a
 (t_c, lam, alpha) grid and solves each node's subproblem, linear in
 (A, B*cos, B*sin) through B*cos(theta + phi) = Bc*cos(theta) - Bs*sin(theta)
 (for |cos|, phi is scanned on a fixed 64-point grid and the node is linear
-in (A, B >= 0)). Stage 2 polishes the best node by coordinate descent with
-shrinking steps. Rank-deficient nodes are skipped and counted.
+in (A, B >= 0)). Stage 2 polishes the best node by Levenberg-Marquardt on
+the variable-projection residual, within the grid's bounding box.
+Rank-deficient nodes are skipped and counted.
 
 Same-type extrema (minima with minima, maxima with maxima) of an exact
 cosine model sit at geometrically spaced x, so consecutive same-type
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericError
+from .resources import pool_workers
 
 VARIANTS = ("cosine", "abs-cosine")
 DIRECTIONS = ("bubble", "antibubble")
@@ -43,8 +45,11 @@ PHI_SCAN_POINTS = 64          # |cos| has period pi, so the scan covers [0, pi)
 # A grid node is skipped when its normalized Gram determinant,
 # det(G) / prod_k G_kk = prod_k d_k / G_kk over the LDL^T pivots d_k, is at or below this.
 DEGENERACY_TOL = 1e-12
-REFINE_TOL = 1e-8
-MAX_REFINE_SWEEPS = 500
+REFINE_TOL = 1e-8            # relative SSE gain below which the refine has converged
+STEP_TOL = 1e-10             # relative parameter step below which the refine has converged
+FD_STEP = math.sqrt(np.finfo(float).eps)   # relative forward-difference step of the Jacobian
+MAX_REFINE_SWEEPS = 500      # Levenberg-Marquardt iterations
+GRID_BLOCK_BYTES = 4 << 20   # row buffers of one lam block of the grid stage
 
 
 @dataclass
@@ -82,7 +87,7 @@ class FitDiagnostics:
     grid_nodes: int = 0
     nodes_skipped: int = 0
     refine_sweeps: int = 0
-    converged: bool = False   # false when refinement stopped at MAX_REFINE_SWEEPS
+    converged: bool = False   # false when the refine stopped at MAX_REFINE_SWEEPS
     grid_sse: float = math.inf
 
 
@@ -200,9 +205,12 @@ def _sse_floor(value: float) -> float:
     return max(float(value), 0.0)
 
 
-def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
-                variant: str, phi: float | None) -> tuple[float, float, float, float]:
-    """Least-squares linear subproblem at one grid node; returns (sse, a, b, phi)."""
+def _linear_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
+                variant: str, phi: float | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Design matrix and least-squares coefficients of one node's linear subproblem.
+
+    Returns None when a design column is not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         logx = np.log(x)
         envelope = x**alpha
@@ -215,12 +223,22 @@ def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
         else:
             design = np.column_stack([envelope, envelope * np.abs(np.cos(theta + phi))])
     if not np.all(np.isfinite(design)):
-        return math.inf, 0.0, 0.0, 0.0
+        return None
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     if variant == "abs-cosine" and coef[1] < 0.0:
         # B >= 0 by convention; the constrained optimum sits on the boundary.
         a = float(design[:, 0] @ y / (design[:, 0] @ design[:, 0]))
         coef = np.array([a, 0.0])
+    return design, coef
+
+
+def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
+                variant: str, phi: float | None) -> tuple[float, float, float, float]:
+    """Least-squares linear subproblem at one grid node; returns (sse, a, b, phi)."""
+    fit = _linear_fit(x, y, lam, alpha, variant, phi)
+    if fit is None:
+        return math.inf, 0.0, 0.0, 0.0
+    design, coef = fit
     resid = y - design @ coef
     sse = float(resid @ resid)
     if variant == "cosine":
@@ -266,42 +284,17 @@ def _ldl_projection(gram, rhs, y_sq, last_nonnegative):
     return sse, det
 
 
-def _grid_stage(times, y, config, diag):
-    """Scan every (t_c, lam, alpha[, phi]) node; return (grid_sse, best node or None).
+def _scan_block(logx, y, omegas, alphas, phis, abs_cosine):
+    """Best SSE and its t_c row for every (alpha, lam*phi) node of one lam block.
 
-    The oscillation columns b_j of one lam (and phi) are cos(theta), sin(theta)
-    for "cosine" (phi = 0 only) and |cos(theta + phi)| over the phi scan for
-    "abs-cosine"; the |cos| scan rotates (cos theta, sin theta) by every phi in
-    one batched product. With env = x**alpha, each Gram entry for all
-    (alpha, lam*phi) nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T,
-    and each right-hand side is (env * y) @ b_j.T; for "abs-cosine" the cross
-    entry and the right-hand side come from one product of the stacked
-    [env**2; env * y]. _ldl_projection turns these entries into each node's SSE
-    and normalized determinant with a closed-form LDL^T: no matrix is assembled
-    and no LAPACK routine runs per node. A node is skipped, and counted, unless
-    its Gram and right-hand-side entries are finite, its diagonal is positive
-    and its normalized determinant is finite and above DEGENERACY_TOL. For
-    "abs-cosine", B >= 0: a node whose unconstrained B is negative (z_last < 0)
-    takes the SSE of the envelope column alone, y.y - (env.y)**2 / (env.env).
-    Ties resolve to the first node in (lam, alpha, phi, t_c) order.
+    Returns (best_sse, best_row, nodes scanned, nodes skipped); best_sse and
+    best_row have shape (alpha, lam*phi), lam-major, and each node keeps the
+    first t_c row that reaches its least SSE.
     """
-    tc_grid = config.tc_grid
-    if config.direction == "bubble":
-        x = tc_grid[:, None] - times[None, :]
-    else:
-        x = times[None, :] - tc_grid[:, None]
-    logx = np.log(x)
-    y_sq = float(y @ y)
-    # math.log as in _node_solve, so both stages see the same frequency for a node.
-    omegas = np.array([2.0 * math.pi / math.log(lam) for lam in config.lam_grid])
-    alphas = config.alpha_grid
-    n_lam, n_alpha, n_t = len(omegas), len(alphas), len(times)
-    abs_cosine = config.variant == "abs-cosine"
-    if abs_cosine:
-        phis, n_osc = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS), 1
-    else:
-        phis, n_osc = np.zeros(1), 2
+    n_lam, n_alpha, n_t = len(omegas), len(alphas), logx.shape[1]
+    n_osc = 1 if abs_cosine else 2
     n_cols = n_lam * len(phis)
+    y_sq = float(y @ y)
     # Work buffers shared by every t_c row.
     theta = np.empty((n_lam, n_t))
     basis = np.empty((n_osc, n_cols, n_t))           # the oscillation columns
@@ -320,6 +313,7 @@ def _grid_stage(times, y, config, diag):
 
     best_sse = np.full((n_alpha, n_cols), np.inf)
     best_row = np.zeros(best_sse.shape, dtype=int)
+    skipped = 0
     for row, logx_row in enumerate(logx):
         np.multiply(omegas[:, None], logx_row[None, :], out=theta)
         if abs_cosine:
@@ -360,10 +354,9 @@ def _grid_stage(times, y, config, diag):
         for k, gram_row in enumerate(gram):
             ok &= gram_row[k] > 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sse, det = _ldl_projection(gram, rhs, y_sq, config.variant == "abs-cosine")
+            sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine)
         ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
-        diag.grid_nodes += ok.size
-        diag.nodes_skipped += int(ok.size - ok.sum())
+        skipped += int(ok.size - ok.sum())
         if not ok.any():
             continue
 
@@ -371,6 +364,74 @@ def _grid_stage(times, y, config, diag):
         better = sse < best_sse
         best_sse[better] = sse[better]
         best_row[better] = row
+    return best_sse, best_row, len(logx) * best_sse.size, skipped
+
+
+def _grid_stage(times, y, config, diag):
+    """Scan every (t_c, lam, alpha[, phi]) node; return (grid_sse, best node or None).
+
+    The oscillation columns b_j of one lam (and phi) are cos(theta), sin(theta)
+    for "cosine" (phi = 0 only) and |cos(theta + phi)| over the phi scan for
+    "abs-cosine"; the |cos| scan rotates (cos theta, sin theta) by every phi in
+    one batched product. With env = x**alpha, each Gram entry for all
+    (alpha, lam*phi) nodes of a t_c row is one matrix product, env**2 @ (b_j * b_k).T,
+    and each right-hand side is (env * y) @ b_j.T; for "abs-cosine" the cross
+    entry and the right-hand side come from one product of the stacked
+    [env**2; env * y]. _ldl_projection turns these entries into each node's SSE
+    and normalized determinant with a closed-form LDL^T: no matrix is assembled
+    and no LAPACK routine runs per node. A node is skipped, and counted, unless
+    its Gram and right-hand-side entries are finite, its diagonal is positive
+    and its normalized determinant is finite and above DEGENERACY_TOL. For
+    "abs-cosine", B >= 0: a node whose unconstrained B is negative (z_last < 0)
+    takes the SSE of the envelope column alone, y.y - (env.y)**2 / (env.env).
+
+    The lam grid is scanned in contiguous blocks, as few as keep one block's
+    row buffers (theta, the oscillation columns and their product) within
+    GRID_BLOCK_BYTES, sized evenly; the block count depends only on the grids
+    and the series length. The blocks run on a thread pool of
+    resources.pool_workers() threads, else one after another in the calling
+    thread; their numpy and BLAS work releases the interpreter lock. Their
+    best-SSE and best-row arrays are joined in lam order, so ties resolve to
+    the first node in (lam, alpha, phi, t_c) order, as in a single scan.
+    """
+    tc_grid = config.tc_grid
+    if config.direction == "bubble":
+        x = tc_grid[:, None] - times[None, :]
+    else:
+        x = times[None, :] - tc_grid[:, None]
+    logx = np.log(x, out=x)
+    # math.log as in _node_solve, so both stages see the same frequency for a node.
+    omegas = np.array([2.0 * math.pi / math.log(lam) for lam in config.lam_grid])
+    alphas = config.alpha_grid
+    abs_cosine = config.variant == "abs-cosine"
+    if abs_cosine:
+        phis, n_osc = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS), 1
+    else:
+        phis, n_osc = np.zeros(1), 2
+    # Row buffers per lam: theta, then per phi the oscillation columns and their
+    # product (for |cos|, also cos and sin of theta).
+    lam_bytes = 8 * len(times) * (1 + len(phis) * (n_osc + 1) + 2 * abs_cosine)
+    n_blocks = min(len(omegas), -(-len(omegas) * lam_bytes // GRID_BLOCK_BYTES))
+    blocks = [(b[0], b[-1] + 1) for b in np.array_split(np.arange(len(omegas)), n_blocks)]
+
+    def scan(block):
+        lo, hi = block
+        return _scan_block(logx, y, omegas[lo:hi], alphas, phis, abs_cosine)
+
+    workers = min(pool_workers(), n_blocks)
+    if workers > 1:
+        # Imported here: concurrent.futures imports logging, which would add
+        # about 6 ms to every CLI start.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(scan, blocks))
+    else:
+        results = [scan(block) for block in blocks]
+    best_sse = np.concatenate([r[0] for r in results], axis=1)
+    best_row = np.concatenate([r[1] for r in results], axis=1)
+    diag.grid_nodes += sum(r[2] for r in results)
+    diag.nodes_skipped += sum(r[3] for r in results)
 
     # Reorder (alpha, lam, phi) to grid order so that argmin takes the first of equal minima.
     shape = (len(alphas), len(omegas), len(phis))
@@ -386,83 +447,91 @@ def _grid_stage(times, y, config, diag):
 
 
 def _refine(times, y, config, start, diag):
-    """Coordinate descent on the nonlinear parameters with shrinking steps.
+    """Projected Levenberg-Marquardt on the variable-projection residual.
 
-    Trials are clamped to the grid's bounding box: refinement polishes the
-    best node within the configured search region rather than re-searching
-    globally, which also keeps it out of degenerate slow-oscillation basins
-    far outside the intended lam range.
+    The nonlinear parameters p = (t_c, lam, alpha), plus phi for "abs-cosine",
+    are polished on r(p) = y - X(p) beta(p), where beta(p) solves the node's
+    linear subproblem (_linear_fit), so the amplitudes never enter the search
+    (Golub & Pereyra). The Jacobian of r is taken by forward differences.
+    Each iteration solves the damped normal equations
+    (J^T J + mu diag(J^T J)) d = -J^T r and clamps p + d to the grid's
+    bounding box; mu falls tenfold after a step that lowers the SSE and rises
+    tenfold after one that does not. A coordinate on a bound whose descent
+    direction leaves the box, or whose Jacobian column is zero, is held for
+    the iteration. The clamp makes the refine polish the best node within the
+    configured search region rather than re-search globally, which also keeps
+    it out of degenerate slow-oscillation basins far outside the intended lam
+    range. Returns [t_c, lam, alpha, phi] (phi 0 for "cosine").
+
+    diag.refine_sweeps counts the iterations. The refine has converged when an
+    accepted step lowers the SSE by at most REFINE_TOL of it, when every
+    coordinate of a step is below STEP_TOL of its scale max(|p_i|, 1), or
+    when no coordinate is free to move; it stops unconverged after
+    MAX_REFINE_SWEEPS iterations.
     """
     tc, lam, alpha, phi = start
-    t_lo, t_hi = float(times.min()), float(times.max())
-    span = t_hi - t_lo
+    n_params = 4 if config.variant == "abs-cosine" else 3
+    p = np.array([tc, lam, alpha, 0.0 if phi is None else phi])[:n_params]
+    grids = (config.tc_grid, config.lam_grid, config.alpha_grid)
+    lo = np.array([float(g.min()) for g in grids] + [-math.inf])[:n_params]
+    hi = np.array([float(g.max()) for g in grids] + [math.inf])[:n_params]   # phi is periodic
 
-    bounds = [
-        (float(config.tc_grid.min()), float(config.tc_grid.max())),
-        (float(config.lam_grid.min()), float(config.lam_grid.max())),
-        (float(config.alpha_grid.min()), float(config.alpha_grid.max())),
-        (-math.inf, math.inf),      # phi is periodic
-    ]
+    def residual(q):
+        x = q[0] - times if config.direction == "bubble" else times - q[0]
+        fit = _linear_fit(x, y, q[1], q[2], config.variant, q[3] if n_params == 4 else None)
+        return None if fit is None else y - fit[0] @ fit[1]
 
-    def valid(params) -> bool:
-        p_tc, p_lam = params[0], params[1]
-        if p_lam <= 1.0 + 1e-9:
-            return False
-        if config.direction == "bubble":
-            return p_tc > t_hi
-        return p_tc < t_lo
+    def jacobian(q, r):
+        h = FD_STEP * np.maximum(np.abs(q), 1.0)
+        h = np.where(q + h <= hi, h, -h)    # difference into the box
+        jac = np.zeros((len(y), n_params))
+        for i in range(n_params):
+            probe = q.copy()
+            probe[i] += h[i]
+            r_probe = residual(probe) if lo[i] <= probe[i] <= hi[i] else None
+            if r_probe is not None:     # otherwise the column stays zero and p_i is held
+                jac[:, i] = (r_probe - r) / h[i]
+        return jac
 
-    def objective(params) -> float:
-        if not valid(params):
-            return math.inf
-        p_tc, p_lam, p_alpha, p_phi = params
-        if config.direction == "bubble":
-            x = p_tc - times
-        else:
-            x = times - p_tc
-        sse, *_ = _node_solve(x, y, p_lam, p_alpha, config.variant, p_phi)
-        return sse
-
-    params = [tc, lam, alpha, 0.0 if phi is None else phi]
-    n_coords = 4 if config.variant == "abs-cosine" else 3
-
-    def grid_step(grid, fallback):
-        return float(grid[1] - grid[0]) if len(grid) > 1 else fallback
-
-    steps = [
-        grid_step(config.tc_grid, 0.1 * span),
-        grid_step(config.lam_grid, 0.1),
-        grid_step(config.alpha_grid, 0.1),
-        math.pi / PHI_SCAN_POINTS,
-    ]
-    initial_steps = list(steps)
-
-    # Re-evaluate through the same route used for trial points so the
-    # improvement comparisons are apples to apples.
-    best_sse = objective(params)
-    sweeps = 0
-    while sweeps < MAX_REFINE_SWEEPS:
-        sweeps += 1
-        before = best_sse
-        for i in range(n_coords):
-            lo, hi = bounds[i]
-            for direction in (+1.0, -1.0):
-                trial = list(params)
-                trial[i] = min(max(params[i] + direction * steps[i], lo), hi)
-                if trial[i] == params[i]:
-                    continue
-                sse = objective(trial)
-                if sse < best_sse:
-                    best_sse = sse
-                    params = trial
-        change = (before - best_sse) / before if before > 0 else 0.0
-        if change < REFINE_TOL:
-            steps = [0.5 * s for s in steps]
-            if max(s / s0 for s, s0 in zip(steps, initial_steps)) < 1e-6:
+    r = residual(p)
+    iterations = 0
+    if r is not None:
+        sse = float(r @ r)
+        jac = jacobian(p, r)
+        mu = 1e-3
+        while iterations < MAX_REFINE_SWEEPS and sse > 0.0:
+            iterations += 1
+            grad = jac.T @ r
+            free = (np.any(jac != 0.0, axis=0)
+                    & ((p > lo) | (grad < 0.0)) & ((p < hi) | (grad > 0.0)))
+            if not free.any():
                 diag.converged = True
                 break
-    diag.refine_sweeps = sweeps
-    return params, best_sse
+            sub = jac[:, free]
+            normal = sub.T @ sub
+            normal[np.diag_indices_from(normal)] *= 1.0 + mu
+            trial = p.copy()
+            trial[free] += np.linalg.solve(normal, -grad[free])
+            np.clip(trial, lo, hi, out=trial)
+            if np.all(np.abs(trial - p) <= STEP_TOL * np.maximum(np.abs(p), 1.0)):
+                diag.converged = True
+                break
+            r_trial = residual(trial)
+            sse_trial = math.inf if r_trial is None else float(r_trial @ r_trial)
+            if not sse_trial < sse:
+                mu *= 10.0
+                continue
+            gain = sse - sse_trial
+            p, r, sse = trial, r_trial, sse_trial
+            mu = max(0.1 * mu, np.finfo(float).eps)   # keeps the damping 1 + mu above 1
+            if gain <= REFINE_TOL * (sse + gain):
+                diag.converged = True
+                break
+            jac = jacobian(p, r)
+        else:
+            diag.converged = sse == 0.0
+    diag.refine_sweeps = iterations
+    return [float(v) for v in p] + [0.0] * (4 - n_params)
 
 
 def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
@@ -470,8 +539,8 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
 
     Stage 1 evaluates every (t_c, lam, alpha) grid node (the t_c grid is
     clipped so all data stay strictly on the correct side of t_c); stage 2
-    refines the best node by coordinate descent. Ties between equal-SSE
-    nodes resolve to the first node in grid order.
+    refines the best node by Levenberg-Marquardt (see _refine). Ties between
+    equal-SSE nodes resolve to the first node in grid order.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -493,8 +562,7 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
         raise NumericError("all grid nodes had rank-deficient normal equations")
     diag.grid_sse = grid_sse
 
-    params, _ = _refine(times, values, config, node, diag)
-    tc, lam, alpha, phi = params
+    tc, lam, alpha, phi = _refine(times, values, config, node, diag)
     x = distance_to_critical(times, tc, config.direction)
     sse, a, b, phi_out = _node_solve(x, values, lam, alpha, config.variant, phi)
     if not math.isfinite(sse):

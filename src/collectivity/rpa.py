@@ -117,7 +117,10 @@ def solve_numeric(model: SchematicRpaModel) -> RpaSolution:
     """
     values, vectors = symmetric_eigendecomposition(build_hamiltonian(model))
     overlaps = vectors.T @ model.d
-    strengths = overlaps**2
+    with np.errstate(over="ignore"):
+        strengths = overlaps**2
+    if not np.isfinite(strengths).all():
+        raise NumericError("transition strength (v_k . d)^2 is not finite")
     order = np.argsort(values, kind="stable")
     values = values[order]
     strengths = strengths[order]

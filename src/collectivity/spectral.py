@@ -22,7 +22,6 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import math
-import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ import numpy as np
 
 from .corr import CorrelationMatrix
 from .errors import DataError, NumericError
+from .resources import pool_workers
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -126,9 +126,9 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     the first matrix that fails. A 2-D input is a stack of one.
 
     Rejects inputs whose asymmetry exceeds 1e-12 and verifies the residual
-    ||M v - lambda v|| <= 1e-9 * N per eigenpair. Exactly equal eigenvalues
-    are ordered by the lexicographically smallest sign-fixed eigenvector, so
-    the output is deterministic.
+    ||M v - lambda v|| <= 1e-9 * max(N, max |lambda|) per eigenpair. Exactly
+    equal eigenvalues are ordered by the lexicographically smallest
+    sign-fixed eigenvector, so the output is deterministic.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2] or not matrix.shape[-1]:
@@ -169,13 +169,17 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
 
     # The checks are written as `not (x <= tol)` so that a NaN defect fails them.
     n = values.shape[1]
+    # A backward-stable solver's residual scales with the matrix norm, so the
+    # bound grows with max |lambda| once that exceeds N, which it never does
+    # for a correlation matrix (its eigenvalues sum to N). np.maximum keeps a NaN.
+    bound = RESIDUAL_TOL * np.maximum(n, np.max(np.abs(values), axis=1))
     residual = np.matmul(sym, vectors, out=spare)
     residual -= np.multiply(vectors, values[:, None, :], out=work)  # sym is not needed again
     worst = np.max(np.sqrt(np.einsum("kij,kij->kj", residual, residual)), axis=1)
-    ok = worst <= RESIDUAL_TOL * n
+    ok = worst <= bound
     if not ok.all():
         i, where = _first_failure(ok, stacked)
-        raise NumericError(f"{where}eigenpair residual {worst[i]:.3e} exceeds {RESIDUAL_TOL * n:.3e}")
+        raise NumericError(f"{where}eigenpair residual {worst[i]:.3e} exceeds {bound[i]:.3e}")
     gram = np.matmul(vectors.transpose(0, 2, 1), vectors, out=spare)
     gram[:, np.arange(n), np.arange(n)] -= 1.0
     ortho = np.max(np.abs(gram, out=gram), axis=(1, 2))
@@ -199,21 +203,6 @@ def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     values, vectors = symmetric_eigendecomposition(matrix.entries)
     _check_semidefinite(values)
     return EigenSpectrum(values, vectors)
-
-
-def _pool_workers() -> int:
-    """Threads for spectrum_trace: the usable CPUs, or 1 unless BLAS runs one thread per call.
-
-    LAPACK releases the interpreter lock, so windows decompose in parallel;
-    on top of a multi-threaded BLAS the same pool only oversubscribes the
-    cores. OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS.
-    """
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas_threads != "1":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _chunks(matrices: Iterable[CorrelationMatrix]) -> Iterator[list[CorrelationMatrix]]:
@@ -311,13 +300,13 @@ def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrac
 
     matrices may be a generator such as corr.rolling_windows. Windows are
     decomposed in chunks of at most CHUNK_BYTES of entries (or one window),
-    one stacked call each, on a thread pool of the usable CPUs when BLAS is pinned to one thread (see
-    _pool_workers), else in the calling thread. A matrix is released once
-    its snapshot is taken, so memory stays O(workers x chunk x N^2) however
-    many windows there are. The snapshots, and the first error, come in
-    window order.
+    one stacked call each, on a thread pool of the usable CPUs when BLAS is
+    pinned to one thread (see resources.pool_workers), else in the calling
+    thread. A matrix is released once its snapshot is taken, so memory stays
+    O(workers x chunk x N^2) however many windows there are. The snapshots,
+    and the first error, come in window order.
     """
-    workers = _pool_workers()
+    workers = pool_workers()
     if workers > 1:
         snapshots = _pooled_snapshots(matrices, workers)
     else:

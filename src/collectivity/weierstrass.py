@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericError
-
-MAX_ARRAY_BYTES = 1 << 27  # largest array weierstrass_values or simulate_walk may allocate
+from .resources import MAX_ARRAY_BYTES
 
 
 @dataclass(frozen=True)

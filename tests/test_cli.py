@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import lppl, synthetic, weierstrass
+from collectivity import cli, lppl, synthetic, weierstrass
 from collectivity.cli import main
 
 
@@ -566,6 +566,34 @@ class TestErrorSurface:
                                     "message": "Hamiltonian epsilon * I + kappa * d d^T is not finite"}
         assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
 
+    @pytest.mark.parametrize(("args", "collective_energy"), [
+        (["--kappa", "1e7", "--n", "10"], 1.0 + 1e8),
+        (["--kappa", "1e-300", "--amplitudes", "9e153,9e153"], 1.0 + 1.62e8),
+    ], ids=["norm-1e8", "tiny-kappa-huge-d"])
+    def test_large_norm_rpa_hamiltonian_passes_the_residual_check(self, tmp_path, args,
+                                                                  collective_energy):
+        # The eigenpair residual bound scales with max |lambda| once that exceeds N.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rpa-demo", *args, "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        rows = [line.split("\t") for line in
+                (tmp_path / "o" / "rpa_demo.tsv").read_text().splitlines()[1:]]
+        top = max(float(r[0]) for r in rows if r[2] == "rpa")
+        assert top == pytest.approx(collective_energy, rel=1e-12)
+
+    def test_overflowing_rpa_strength_is_a_numeric_error(self, tmp_path, capsys):
+        # The eigenpairs pass; the collective strength 2e308 is not a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rpa-demo", "--kappa", "1e-300", "--amplitudes", "1e154,1e154",
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "numeric",
+                                    "message": "transition strength (v_k . d)^2 is not finite"}
+        assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
+
     def test_smoothing_wider_than_the_series_is_a_data_error(self, tmp_path, capsys,
                                                               lppl_series_csv):
         with warnings.catch_warnings():
@@ -600,6 +628,59 @@ class TestErrorSurface:
         # numpy reports its buffers to tracemalloc: nothing near the estimate was allocated.
         assert peak < 2**20
         assert not list((tmp_path / "o").glob("*.tsv"))
+
+
+class TestOptionArrayCap:
+    """Options that size an array are checked against MAX_ARRAY_BYTES before it exists."""
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["lppl-fit", "--tc-nodes", "1000000000"],
+         "--tc-nodes 1000000000 at 181 points needs a 1,448,000,000,000-byte array"),
+        (["lppl-fit", "--alpha-nodes", "10000000"],
+         "--alpha-nodes 10000000 at 181 points needs a 28,960,000,000-byte array"),
+        (["lppl-fit", "--variant", "abs-cosine", "--alpha-nodes", "20000"],
+         "--alpha-nodes 20000 x --lam-nodes 41 x 64 phi nodes needs a 419,840,000-byte array"),
+        (["lppl-fit", "--lam-nodes", "1000000000"],
+         "--alpha-nodes 21 x --lam-nodes 1000000000 x 1 phi nodes "
+         "needs a 168,000,000,000-byte array"),
+        (["weierstrass-eval", "--k-points", "100000000000"],
+         "--k-points 100000000000 needs a 800,000,000,000-byte array"),
+    ], ids=["tc-nodes", "alpha-nodes", "abs-nodes", "lam-nodes", "k-points"])
+    def test_over_the_cap_is_a_data_error(self, tmp_path, capsys, lppl_series_csv, args,
+                                          message):
+        if args[0] == "lppl-fit":
+            args = args + ["--input", str(lppl_series_csv)]
+        tracemalloc.start()
+        try:
+            rc = main(args + ["--out-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data",
+                                    "message": message + ", above the 134,217,728-byte cap"}
+        assert peak < 2**20
+        assert not list((tmp_path / "o").glob("*.tsv"))
+
+    def test_defaults_and_bench_grids_sit_far_below_the_cap(self, tmp_path, monkeypatch):
+        # A 500-point series with the default grids (as in acceptance criterion 5)
+        # and the benchmark's |cos| grid still pass with a cap 100 times smaller.
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", cli.MAX_ARRAY_BYTES // 100)
+        model = lppl.LogPeriodicModel(tc=550.0, alpha=0.5, lam=2.0, phi=1.0, a=2.0, b=0.3)
+        series = tmp_path / "series.csv"
+        origin = dt.date(2000, 1, 1)
+        with open(series, "w") as fh:
+            fh.write("date,price\n")
+            for ti in range(500):
+                value = float(lppl.evaluate_model(model, [float(ti)])[0])
+                fh.write(f"{(origin + dt.timedelta(days=ti)).isoformat()},{value!r}\n")
+        for args in (["lppl-fit"],
+                     ["lppl-fit", "--variant", "abs-cosine", "--tc-min", "500.5",
+                      "--tc-max", "800", "--tc-nodes", "50"]):
+            rc = main(args + ["--input", str(series), "--no-log", "--out-dir", str(tmp_path / "o")])
+            assert rc == 0
+        assert main(["weierstrass-eval", "--out-dir", str(tmp_path / "w")]) == 0
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectivity import lppl
 from collectivity.errors import DataError, NumericError
 from collectivity.lppl import (
     DEGENERACY_TOL,
@@ -16,6 +17,7 @@ from collectivity.lppl import (
     LogPeriodicModel,
     _grid_stage,
     _node_solve,
+    _refine,
     default_fit_config,
     distance_to_critical,
     evaluate_model,
@@ -373,6 +375,175 @@ class TestGridStage:
         want_sse, want_node, _ = self.reference_search(t, y, cfg)
         assert node == want_node
         assert grid_sse == pytest.approx(want_sse, rel=1e-8)
+
+
+def bench_abs_series(seed):
+    # The benchmark's |cos| series: 300 daily points before t_c = 330, 1% noise.
+    t = np.arange(300.0)
+    model = LogPeriodicModel(tc=330.0, alpha=0.5, lam=2.0, phi=1.0, a=2.0, b=0.3,
+                             variant="abs-cosine")
+    clean = evaluate_model(model, t)
+    rng = np.random.default_rng(seed)
+    return t, clean + 0.01 * np.std(clean) * rng.standard_normal(len(t))
+
+
+class TestGridBlocks:
+    """The lam blocks and the worker pool change nothing about the grid stage's result."""
+
+    @staticmethod
+    def blocked_stage(monkeypatch, times, y, config, block_bytes, workers):
+        monkeypatch.setattr(lppl, "GRID_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(lppl, "pool_workers", lambda: workers)
+        blocks = []
+        scan_block = lppl._scan_block
+
+        def record(logx, y, omegas, *args):
+            blocks.append(tuple(omegas))
+            return scan_block(logx, y, omegas, *args)
+
+        monkeypatch.setattr(lppl, "_scan_block", record)
+        diag = FitDiagnostics()
+        grid_sse, node = _grid_stage(times, y, config, diag)
+        # The blocks cover the lam grid once, in order, however they were scheduled.
+        omegas = [2.0 * math.pi / math.log(lam) for lam in config.lam_grid]
+        blocks.sort(key=lambda block: omegas.index(block[0]))
+        assert [omega for block in blocks for omega in block] == omegas
+        return grid_sse, node, diag, len(blocks)
+
+    # (byte budget, workers): one block inline, then 3 blocks and one block per lam,
+    # inline and on two threads.
+    LAYOUTS = [(1 << 40, 1), (1 << 40, 2), ("three", 1), ("three", 2), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_blocks_and_workers_pick_the_same_node(self, monkeypatch, variant):
+        t, y = bench_abs_series(23)
+        cfg = FitConfig(
+            tc_grid=np.linspace(300.5, 600.0, 7),
+            lam_grid=np.linspace(1.5, 3.5, 9),
+            alpha_grid=np.linspace(-1.0, 1.0, 5),
+            variant=variant,
+        )
+        n_phi = PHI_SCAN_POINTS if variant == "abs-cosine" else 1
+        # Row buffers of one lam: theta, the oscillation columns and their product,
+        # and for |cos| the cos and sin of theta.
+        if variant == "abs-cosine":
+            lam_bytes = 8 * len(t) * (1 + 2 * PHI_SCAN_POINTS + 2)
+        else:
+            lam_bytes = 8 * len(t) * (1 + 3)
+        results = {}
+        for budget, workers in self.LAYOUTS:
+            budget = 3 * lam_bytes if budget == "three" else budget
+            grid_sse, node, diag, n_blocks = self.blocked_stage(monkeypatch, t, y, cfg,
+                                                                budget, workers)
+            assert n_blocks == {1 << 40: 1, 3 * lam_bytes: 3, 1: 9}[budget]
+            results[budget, workers] = (grid_sse, node, diag.grid_nodes, diag.nodes_skipped)
+        want_sse, want_node, _, _ = results[1 << 40, 1]
+        for (budget, workers), (grid_sse, node, grid_nodes, skipped) in results.items():
+            assert (node, grid_nodes, skipped) == (want_node, 7 * 9 * 5 * n_phi, 0)
+            # BLAS may round a product differently for another block width, never
+            # for another worker count.
+            assert grid_sse == pytest.approx(want_sse, rel=1e-12)
+            assert grid_sse == results[budget, 1][0]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_skipped_nodes_are_counted_in_every_block(self, monkeypatch, variant):
+        # The degenerate-node setup of TestGridStage, one lam per block.
+        t = np.linspace(0.0, 30.0, 40)
+        y = np.sin(t)
+        cfg = FitConfig(
+            tc_grid=np.array([40.0, 2.0e12]),
+            lam_grid=np.array([2.0, 1.0e9]),
+            alpha_grid=np.array([0.0, 0.5]),
+            variant=variant,
+        )
+        results = [self.blocked_stage(monkeypatch, t, y, cfg, budget, workers)
+                   for budget, workers in [(1 << 40, 1), (1, 1), (1, 2)]]
+        (want_sse, want_node, want, _), *blocked = results
+        assert 0 < want.nodes_skipped < want.grid_nodes
+        for grid_sse, node, diag, n_blocks in blocked:
+            assert n_blocks == 2
+            assert node == want_node
+            assert grid_sse == pytest.approx(want_sse, rel=1e-12)
+            assert (diag.grid_nodes, diag.nodes_skipped) == (want.grid_nodes, want.nodes_skipped)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exact_tie_across_blocks_goes_to_the_first_lam(self, monkeypatch, variant, workers):
+        # y = 0 gives every node an SSE of exactly 0: the first node in
+        # (lam, alpha, phi, t_c) order must win, whichever block finishes first.
+        t = np.linspace(0.0, 200.0, 80)
+        cfg = FitConfig(
+            tc_grid=np.linspace(205.0, 280.0, 4),
+            lam_grid=np.linspace(1.6, 3.0, 6),
+            alpha_grid=np.linspace(-0.5, 1.0, 3),
+            variant=variant,
+        )
+        grid_sse, node, diag, n_blocks = self.blocked_stage(monkeypatch, t, np.zeros(len(t)),
+                                                            cfg, 1, workers)
+        assert n_blocks == 6
+        assert grid_sse == 0.0
+        phi = None if variant == "cosine" else 0.0
+        assert node == (205.0, 1.6, -0.5, phi)
+        assert diag.nodes_skipped == 0
+
+
+class TestRefine:
+    @staticmethod
+    def refined(times, y, config):
+        diag = FitDiagnostics()
+        _, node = _grid_stage(times, y, config, diag)
+        params = _refine(times, y, config, node, diag)
+        return node, params, diag
+
+    @staticmethod
+    def sse_at(times, y, config, params):
+        tc, lam, alpha, phi = params
+        x = distance_to_critical(times, tc, config.direction)
+        return _node_solve(x, y, lam, alpha, config.variant, phi)[0]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    # The generating (t_c, lam, alpha) sit inside the box, or beyond its far corner.
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_refine_stays_in_the_box_and_never_raises_the_sse(self, variant, direction, inside):
+        t = np.linspace(0.0, 200.0, 120)
+        tc = 230.0 if direction == "bubble" else -30.0
+        model = LogPeriodicModel(tc=tc, alpha=0.4, lam=2.2, phi=0.8, a=1.5, b=0.3,
+                                 variant=variant, direction=direction)
+        rng = np.random.default_rng(7)
+        y = evaluate_model(model, t) + 0.02 * rng.standard_normal(len(t))
+        offsets = np.linspace(5.0, 80.0, 6) if inside else np.linspace(45.0, 80.0, 4)
+        cfg = FitConfig(
+            tc_grid=t.max() + offsets if direction == "bubble" else t.min() - offsets,
+            lam_grid=np.linspace(1.6, 3.0, 5) if inside else np.linspace(2.5, 3.0, 3),
+            alpha_grid=np.linspace(-0.5, 1.0, 4) if inside else np.linspace(0.6, 1.0, 3),
+            variant=variant,
+            direction=direction,
+        )
+        node, params, diag = self.refined(t, y, cfg)
+        for value, grid in zip(params, (cfg.tc_grid, cfg.lam_grid, cfg.alpha_grid)):
+            assert grid.min() <= value <= grid.max()
+        assert self.sse_at(t, y, cfg, params) <= self.sse_at(t, y, cfg, node)
+        assert diag.converged
+        if not inside:
+            # The generating alpha = 0.4 lies below the box: the refine ends on its bound.
+            assert params[2] == cfg.alpha_grid.min()
+
+    def test_bench_like_abs_cosine_fit_converges(self):
+        # The benchmark's seed-1 |cos| input, where coordinate descent used up its 500 sweeps.
+        t, y = bench_abs_series([1, 4])
+        cfg = FitConfig(
+            tc_grid=np.linspace(300.5, 600.0, 50),
+            lam_grid=np.linspace(1.5, 3.5, 41),
+            alpha_grid=np.linspace(-1.0, 1.0, 21),
+            variant="abs-cosine",
+        )
+        result = fit_model(t, y, cfg)
+        assert result.diagnostics.converged
+        assert result.diagnostics.grid_nodes == 50 * 41 * 21 * PHI_SCAN_POINTS
+        assert result.diagnostics.nodes_skipped == 0
+        assert result.sse <= result.diagnostics.grid_sse
+        assert result.model.lam == pytest.approx(2.0, rel=0.05)
 
 
 class TestExtremaProgression:

@@ -19,6 +19,7 @@ from collectivity.corr import (
     rolling_windows,
 )
 from collectivity.errors import DataError, NumericError
+from collectivity.resources import pool_workers
 from collectivity.spectral import (
     collectivity_metrics,
     eigendecompose,
@@ -206,7 +207,7 @@ def trace_mode(request, monkeypatch):
                             raising=False)
     else:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert spectral._pool_workers() == (POOL_WORKERS if request.param == "pooled" else 1)
+    assert pool_workers() == (POOL_WORKERS if request.param == "pooled" else 1)
     return request.param
 
 
@@ -285,7 +286,7 @@ class TestChunkedTrace:
                 with lock:
                     ahead = pulled - done[0]
                 # the chunks in flight plus the one being filled
-                assert ahead <= (spectral._pool_workers() + 1) * per_chunk
+                assert ahead <= (pool_workers() + 1) * per_chunk
                 yield m
 
         monkeypatch.setattr(spectral, "_chunk_snapshots", counted)
@@ -317,9 +318,9 @@ class TestChunkedTrace:
                     monkeypatch.delenv(var, raising=False)
                 else:
                     monkeypatch.setenv(var, value)
-            assert spectral._pool_workers() == want, (openblas, omp)
+            assert pool_workers() == want, (openblas, omp)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert spectral._pool_workers() == 1
+        assert pool_workers() == 1
 
 
 class TestStackedDecomposition:
