@@ -67,16 +67,29 @@ def _ensure_out_dir(out_dir: str) -> Path:
     return path
 
 
-def _load_panel(paths, schema, tau: int, min_coverage: float) -> marketdata.ReturnPanel:
+def _load_panel(paths, schema, tau: int,
+                min_coverage: float) -> tuple[marketdata.ReturnPanel, list[str]]:
+    """Aligned return panel of the price files, and the asset ids that alignment dropped."""
     series = marketdata.merge_price_series(marketdata.load_price_series(p, schema) for p in paths)
-    return marketdata.align_calendars(marketdata.compute_returns(series, tau), min_coverage)
+    returns = marketdata.compute_returns(series, tau)
+    panel = marketdata.align_calendars(returns, min_coverage)
+    kept = set(panel.assets)
+    return panel, [s.asset_id for s in returns if s.asset_id not in kept]
+
+
+def _one_character(ctx, param, value: str) -> str:
+    # csv.reader takes only a one-character delimiter.
+    if len(value) != 1:
+        raise click.BadParameter(f"must be one character, got {value!r}", ctx, param)
+    return value
 
 
 _INPUT_OPTIONS = [
     click.option("--date-col", default="date", show_default=True, help="Date column name."),
     click.option("--asset-col", default="asset", show_default=True, help="Asset-id column name."),
     click.option("--price-col", default="price", show_default=True, help="Price column name."),
-    click.option("--delimiter", default=",", show_default=True, help="Field delimiter."),
+    click.option("--delimiter", default=",", show_default=True, callback=_one_character,
+                 help="Field delimiter."),
     click.option("--tau", default=1, show_default=True, type=click.IntRange(min=1),
                  help="Return lag in trading days."),
     click.option("--min-coverage", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0),
@@ -89,7 +102,8 @@ _SERIES_OPTIONS = [
                  help="Series file with date and value columns."),
     click.option("--date-col", default="date", show_default=True, help="Date column name."),
     click.option("--value-col", default="price", show_default=True, help="Value column name."),
-    click.option("--delimiter", default=",", show_default=True, help="Field delimiter."),
+    click.option("--delimiter", default=",", show_default=True, callback=_one_character,
+                 help="Field delimiter."),
     click.option("--log/--no-log", "take_log", default=True, show_default=True,
                  help="Use the natural log of the values."),
 ]
@@ -114,6 +128,11 @@ def _load_series(input_path, date_col, value_col, delimiter, take_log):
     return origin, np.array([(d - origin).days for d in dates], dtype=float), values
 
 
+def _json_type(value) -> str:
+    names = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    return names.get(type(value), "a number")
+
+
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON file with per-subcommand option defaults.")
@@ -124,9 +143,17 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
     if config_path:
         with open(config_path) as fh:
             try:
-                ctx.default_map = json.load(fh)
+                default_map = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise click.UsageError(f"config file {config_path}: {exc}") from exc
+        if not isinstance(default_map, dict):
+            raise click.BadParameter(f"{config_path}: the top level must be a JSON object, "
+                                     f"got {_json_type(default_map)}", param_hint="'--config'")
+        for name, section in default_map.items():
+            if name in ctx.command.commands and not isinstance(section, dict):
+                raise click.BadParameter(f"{config_path}: section {name!r} must be a JSON object, "
+                                         f"got {_json_type(section)}", param_hint="'--config'")
+        ctx.default_map = default_map
 
 
 @cli.command()
@@ -139,10 +166,10 @@ def returns(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_cov
     """Compute the aligned log-return panel from price files."""
     out = _ensure_out_dir(out_dir)
     schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel = _load_panel(inputs, schema, tau, min_coverage)
+    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
     output.write_panel_tsv(out / "returns.tsv", panel)
     _finish("returns", out_dir, ctx.params, ["returns.tsv"],
-            extra={"alignment_policy": "intersect"})
+            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
 
 
 @cli.command(name="corr")
@@ -158,7 +185,7 @@ def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
     """Correlation matrix over one window (default: the whole panel)."""
     out = _ensure_out_dir(out_dir)
     schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel = _load_panel(inputs, schema, tau, min_coverage)
+    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
     window = None
     if (window_start is None) != (window_end is None):
         raise click.UsageError("--window-start and --window-end must be given together")
@@ -171,7 +198,7 @@ def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
     output.write_matrix_tsv(out / "corr_matrix.tsv", matrix)
     output.write_matrix_metadata(out / "corr_matrix.meta.json", matrix)
     _finish("corr", out_dir, ctx.params, ["corr_matrix.tsv", "corr_matrix.meta.json"],
-            extra={"alignment_policy": "intersect"})
+            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
 
 
 @cli.command()
@@ -190,14 +217,15 @@ def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
     out = _ensure_out_dir(out_dir)
     schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel = _load_panel(inputs, schema, tau, min_coverage)
+    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
     trace = spectral.spectrum_trace(corr.rolling_windows(panel, window_length, step))
     files = ["spectrum_trace.tsv"]
     output.write_spectrum_trace(out / "spectrum_trace.tsv", trace)
     if vectors:
         output.write_leading_vectors(out / "spectrum_vectors.tsv", trace, panel.assets)
         files.append("spectrum_vectors.tsv")
-    _finish("spectrum", out_dir, ctx.params, files, extra={"alignment_policy": "intersect"})
+    _finish("spectrum", out_dir, ctx.params, files,
+            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
 
 
 @cli.command(name="global-spectrum")
@@ -222,8 +250,8 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     """
     out = _ensure_out_dir(out_dir)
     schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel_a = _load_panel(inputs_a, schema, tau, min_coverage)
-    panel_b = _load_panel(inputs_b, schema, tau, min_coverage)
+    panel_a, dropped_a = _load_panel(inputs_a, schema, tau, min_coverage)
+    panel_b, dropped_b = _load_panel(inputs_b, schema, tau, min_coverage)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
     trace = spectral.spectrum_trace(corr.rolling_windows(merged, window_length, step))
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
@@ -247,7 +275,8 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
     )
     _finish("global-spectrum", out_dir, ctx.params,
             ["global_trace.tsv", "global_blocks.json"],
-            extra={"alignment_policy": "intersect"})
+            extra={"alignment_policy": "intersect",
+                   "assets_dropped": {"a": dropped_a, "b": dropped_b}})
 
 
 def _check_array_bytes(n_bytes: int, what: str) -> None:
@@ -459,6 +488,7 @@ def spacing_stats(ctx, input_path, drop_top, degree, bins, out_dir):
             "n_spacings": int(len(stats.spacings)),
             "n_sets": stats.n_sets,
             "n_dropped": stats.n_dropped,
+            "n_rank_deficient": stats.n_rank_deficient,
         },
     )
     _finish("spacing-stats", out_dir, ctx.params, ["spacing_hist.tsv", "spacing_stats.json"])

@@ -49,7 +49,9 @@ REFINE_TOL = 1e-8            # relative SSE gain below which the refine has conv
 STEP_TOL = 1e-10             # relative parameter step below which the refine has converged
 FD_STEP = math.sqrt(np.finfo(float).eps)   # relative forward-difference step of the Jacobian
 MAX_REFINE_SWEEPS = 500      # Levenberg-Marquardt iterations
-GRID_BLOCK_BYTES = 4 << 20   # row buffers of one lam block of the grid stage
+# Row-buffer budget of the grid stage: the lam blocks are sized so one t_c row's
+# buffers fit in it, and the t_c row batches of all workers together fit in it too.
+GRID_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -284,75 +286,89 @@ def _ldl_projection(gram, rhs, y_sq, last_nonnegative):
     return sse, det
 
 
-def _scan_block(logx, y, omegas, alphas, phis, abs_cosine):
-    """Best SSE and its t_c row for every (alpha, lam*phi) node of one lam block.
+def _row_bytes(n_t, n_lam, n_phi, abs_cosine):
+    """Bytes of one t_c row's buffers over n_lam lams: theta, then per phi the
+    oscillation columns and their product (for |cos|, also cos and sin of theta)."""
+    n_osc = 1 if abs_cosine else 2
+    return 8 * n_t * n_lam * (1 + n_phi * (n_osc + 1) + 2 * abs_cosine)
 
-    Returns (best_sse, best_row, nodes scanned, nodes skipped); best_sse and
-    best_row have shape (alpha, lam*phi), lam-major, and each node keeps the
-    first t_c row that reaches its least SSE.
+
+def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
+    """Best SSE and its t_c row for every (alpha, lam*phi) node over the rows of logx.
+
+    The rows go `batch` at a time, on buffers with a leading batch axis: each
+    row's arithmetic, a matrix product per row included, is the same as for a
+    batch of one. Returns (best_sse, best_row, nodes skipped); each node keeps
+    the first row that reaches its least SSE.
     """
-    n_lam, n_alpha, n_t = len(omegas), len(alphas), logx.shape[1]
+    n_rows, n_t = logx.shape
+    n_lam, n_alpha = len(omegas), len(alphas)
     n_osc = 1 if abs_cosine else 2
     n_cols = n_lam * len(phis)
     y_sq = float(y @ y)
-    # Work buffers shared by every t_c row.
-    theta = np.empty((n_lam, n_t))
-    basis = np.empty((n_osc, n_cols, n_t))           # the oscillation columns
-    product = np.empty((n_cols, n_t))
-    env = np.empty((n_alpha, n_t))
-    weights = np.empty((2 * n_alpha, n_t))
-    env_sq, env_y = weights[:n_alpha], weights[n_alpha:]
-    squares = np.empty((n_osc * (n_osc + 1) // 2, n_alpha, n_cols))
+    batch = min(batch, n_rows)
+    # Work buffers shared by every batch; a short last batch uses their leading rows.
+    theta = np.empty((batch, n_lam, n_t))
+    basis = np.empty((batch, n_osc, n_cols, n_t))    # the oscillation columns
+    product = np.empty((batch, n_cols, n_t))
+    env = np.empty((batch, n_alpha, n_t))
+    weights = np.empty((batch, 2 * n_alpha, n_t))
+    squares = np.empty((batch, n_osc * (n_osc + 1) // 2, n_alpha, n_cols))
     if abs_cosine:
         # cos(theta + phi) = cos(phi) cos(theta) - sin(phi) sin(theta): each phi's
         # column is a fixed rotation of (cos theta, sin theta).
         rotation = np.column_stack([np.cos(phis), -np.sin(phis)])
-        cos_sin = np.empty((n_lam, 2, n_t))
-        scan = basis[0].reshape(n_lam, PHI_SCAN_POINTS, n_t)
-        first_order = np.empty((2 * n_alpha, n_cols))
+        cos_sin = np.empty((batch, n_lam, 2, n_t))
+        first_order = np.empty((batch, 2 * n_alpha, n_cols))
 
     best_sse = np.full((n_alpha, n_cols), np.inf)
     best_row = np.zeros(best_sse.shape, dtype=int)
     skipped = 0
-    for row, logx_row in enumerate(logx):
-        np.multiply(omegas[:, None], logx_row[None, :], out=theta)
+    for start in range(0, n_rows, batch):
+        logx_rows = logx[start:start + batch, None, :]
+        k = len(logx_rows)
+        theta_k, basis_k, product_k, env_k = theta[:k], basis[:k], product[:k], env[:k]
+        env_sq, env_y = weights[:k, :n_alpha], weights[:k, n_alpha:]
+        np.multiply(omegas[:, None], logx_rows, out=theta_k)
         if abs_cosine:
-            np.cos(theta, out=cos_sin[:, 0])
-            np.sin(theta, out=cos_sin[:, 1])
-            np.matmul(rotation, cos_sin, out=scan)
+            np.cos(theta_k, out=cos_sin[:k, :, 0])
+            np.sin(theta_k, out=cos_sin[:k, :, 1])
+            scan = basis_k[:, 0].reshape(k, n_lam, PHI_SCAN_POINTS, n_t)
+            np.matmul(rotation, cos_sin[:k], out=scan)
             np.abs(scan, out=scan)
         else:
-            np.cos(theta, out=basis[0])
-            np.sin(theta, out=basis[1])
+            np.cos(theta_k, out=basis_k[:, 0])
+            np.sin(theta_k, out=basis_k[:, 1])
 
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(alphas[:, None], logx_row[None, :], out=env)
-            np.exp(env, out=env)
-            np.multiply(env, env, out=env_sq)
-            np.multiply(env, y, out=env_y)
+            np.multiply(alphas[:, None], logx_rows, out=env_k)
+            np.exp(env_k, out=env_k)
+            np.multiply(env_k, env_k, out=env_sq)
+            np.multiply(env_k, y, out=env_y)
             # Lower triangle of the Gram matrix and the right-hand side, entry by entry,
-            # over (alpha, lam*phi); the constant column's entries broadcast over lam*phi.
-            gram = [[env_sq.sum(axis=1)[:, None]]]
-            rhs = [(env @ y)[:, None]]
+            # over (row, alpha, lam*phi); the constant column's entries broadcast over lam*phi.
+            gram = [[env_sq.sum(axis=2)[..., None]]]
+            rhs = [(env_k @ y)[..., None]]
             if abs_cosine:
-                np.matmul(weights, basis[0].T, out=first_order)
-                cross_rhs = [(first_order[:n_alpha], first_order[n_alpha:])]
+                np.matmul(weights[:k], basis_k[:, 0].swapaxes(1, 2), out=first_order[:k])
+                cross_rhs = [(first_order[:k, :n_alpha], first_order[:k, n_alpha:])]
             else:
-                cross_rhs = [(env_sq @ b.T, env_y @ b.T) for b in basis]
+                cross_rhs = [(env_sq @ b.swapaxes(1, 2), env_y @ b.swapaxes(1, 2))
+                             for b in basis_k.swapaxes(0, 1)]
             for j, (cross, right) in enumerate(cross_rhs):
                 gram_row = [cross]
-                for k in range(j + 1):
-                    np.multiply(basis[j], basis[k], out=product)
-                    square = squares[j * (j + 1) // 2 + k]
-                    gram_row.append(np.matmul(env_sq, product.T, out=square))
+                for m in range(j + 1):
+                    np.multiply(basis_k[:, j], basis_k[:, m], out=product_k)
+                    square = squares[:k, j * (j + 1) // 2 + m]
+                    gram_row.append(np.matmul(env_sq, product_k.swapaxes(1, 2), out=square))
                 gram.append(gram_row)
                 rhs.append(right)
 
-        ok = np.ones(best_sse.shape, dtype=bool)
+        ok = np.ones((k,) + best_sse.shape, dtype=bool)
         for entry in itertools.chain(*gram, rhs):
             ok &= np.isfinite(entry)
-        for k, gram_row in enumerate(gram):
-            ok &= gram_row[k] > 0.0
+        for m, gram_row in enumerate(gram):
+            ok &= gram_row[m] > 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine)
         ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
@@ -360,11 +376,52 @@ def _scan_block(logx, y, omegas, alphas, phis, abs_cosine):
         if not ok.any():
             continue
 
-        sse = np.where(ok, sse, np.inf)
+        # A NaN SSE never wins, as under a row-by-row strict <.
+        sse = np.where(ok & ~np.isnan(sse), sse, np.inf)
+        # argmin takes the first row of the batch that reaches the minimum, and the
+        # strict < keeps an earlier batch's row on a tie.
+        batch_sse = sse.min(axis=0)
+        better = batch_sse < best_sse
+        best_sse[better] = batch_sse[better]
+        best_row[better] = start + sse.argmin(axis=0)[better]
+    return best_sse, best_row, skipped
+
+
+def _scan_block(logx, y, omegas, alphas, phis, abs_cosine, pool):
+    """Best SSE and its t_c row for every (alpha, lam*phi) node of one lam block.
+
+    Returns (best_sse, best_row, nodes scanned, nodes skipped); best_sse and
+    best_row have shape (alpha, lam*phi), lam-major, and each node keeps the
+    first t_c row that reaches its least SSE.
+
+    The t_c rows are split into contiguous slabs, one per worker:
+    min(resources.pool_workers(), rows) on the thread pool `pool`, or one slab
+    in the calling thread when pool is None. Each slab is scanned R rows at a
+    time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (workers * one row's
+    buffers)), so the row buffers of all workers together stay within
+    GRID_BLOCK_BYTES unless one row's alone exceed it; batching divides the
+    Python-level dispatch, which holds the interpreter lock, by R. The slabs'
+    results are merged in row order under a strict <, so the worker count
+    changes no output bit.
+    """
+    n_rows, n_t = logx.shape
+    workers = 1 if pool is None else min(pool_workers(), n_rows)
+    row_bytes = _row_bytes(n_t, len(omegas), len(phis), abs_cosine)
+    batch = max(1, GRID_BLOCK_BYTES // (workers * row_bytes))
+    slabs = [(s[0], s[-1] + 1) for s in np.array_split(np.arange(n_rows), workers)]
+
+    def scan(slab):
+        lo, hi = slab
+        return _scan_rows(logx[lo:hi], y, omegas, alphas, phis, abs_cosine, batch)
+
+    results = list(map(scan, slabs) if workers == 1 else pool.map(scan, slabs))
+    best_sse, best_row, skipped = results[0]
+    for (lo, _), (sse, row, slab_skipped) in zip(slabs[1:], results[1:]):
         better = sse < best_sse
         best_sse[better] = sse[better]
-        best_row[better] = row
-    return best_sse, best_row, len(logx) * best_sse.size, skipped
+        best_row[better] = lo + row[better]
+        skipped += slab_skipped
+    return best_sse, best_row, n_rows * best_sse.size, skipped
 
 
 def _grid_stage(times, y, config, diag):
@@ -388,11 +445,13 @@ def _grid_stage(times, y, config, diag):
     The lam grid is scanned in contiguous blocks, as few as keep one block's
     row buffers (theta, the oscillation columns and their product) within
     GRID_BLOCK_BYTES, sized evenly; the block count depends only on the grids
-    and the series length. The blocks run on a thread pool of
-    resources.pool_workers() threads, else one after another in the calling
-    thread; their numpy and BLAS work releases the interpreter lock. Their
-    best-SSE and best-row arrays are joined in lam order, so ties resolve to
-    the first node in (lam, alpha, phi, t_c) order, as in a single scan.
+    and the series length, since the block width sets the last bits of a
+    node's SSE. The blocks are scanned one after another, and each splits its
+    t_c rows across one thread pool of resources.pool_workers() threads
+    (_scan_block); their numpy and BLAS work releases the interpreter lock.
+    Their best-SSE and best-row arrays are joined in lam order, so ties
+    resolve to the first node in (lam, alpha, phi, t_c) order, as in a single
+    scan.
     """
     tc_grid = config.tc_grid
     if config.direction == "bubble":
@@ -405,29 +464,27 @@ def _grid_stage(times, y, config, diag):
     alphas = config.alpha_grid
     abs_cosine = config.variant == "abs-cosine"
     if abs_cosine:
-        phis, n_osc = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS), 1
+        phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
     else:
-        phis, n_osc = np.zeros(1), 2
-    # Row buffers per lam: theta, then per phi the oscillation columns and their
-    # product (for |cos|, also cos and sin of theta).
-    lam_bytes = 8 * len(times) * (1 + len(phis) * (n_osc + 1) + 2 * abs_cosine)
+        phis = np.zeros(1)
+    lam_bytes = _row_bytes(len(times), 1, len(phis), abs_cosine)
     n_blocks = min(len(omegas), -(-len(omegas) * lam_bytes // GRID_BLOCK_BYTES))
     blocks = [(b[0], b[-1] + 1) for b in np.array_split(np.arange(len(omegas)), n_blocks)]
 
-    def scan(block):
-        lo, hi = block
-        return _scan_block(logx, y, omegas[lo:hi], alphas, phis, abs_cosine)
+    def scan(pool):
+        return [_scan_block(logx, y, omegas[lo:hi], alphas, phis, abs_cosine, pool)
+                for lo, hi in blocks]
 
-    workers = min(pool_workers(), n_blocks)
+    workers = min(pool_workers(), len(tc_grid))
     if workers > 1:
         # Imported here: concurrent.futures imports logging, which would add
         # about 6 ms to every CLI start.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(scan, blocks))
+            results = scan(pool)
     else:
-        results = [scan(block) for block in blocks]
+        results = scan(None)
     best_sse = np.concatenate([r[0] for r in results], axis=1)
     best_row = np.concatenate([r[1] for r in results], axis=1)
     diag.grid_nodes += sum(r[2] for r in results)

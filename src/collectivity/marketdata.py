@@ -34,6 +34,15 @@ class ColumnSchema:
     price: str = "price"
     delimiter: str = ","
 
+    def __post_init__(self) -> None:
+        _check_delimiter(self.delimiter)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    # csv.reader raises a TypeError for any other delimiter.
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"delimiter must be one character, got {delimiter!r}")
+
 
 @dataclass
 class PriceSeries:
@@ -213,6 +222,7 @@ def load_value_series(
     Values only need to be finite numbers. Rows may arrive in any order;
     they are sorted by date and duplicate dates are rejected.
     """
+    _check_delimiter(delimiter)
     seen: dict[dt.date, float] = {}
     for lineno, day, _, value in _read_records(source, date_col, value_col, delimiter, "value"):
         if day in seen:

@@ -94,6 +94,7 @@ class SpacingStatistics:
     ks_poisson: float
     n_sets: int
     n_dropped: int
+    n_rank_deficient: int     # sets whose unfolding fit was rank deficient
 
 
 def wigner_surmise(s: np.ndarray) -> np.ndarray:
@@ -343,6 +344,11 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     columns scaled to unit norm, singular values <= n * eps * s_max counted
     as zero, and a RankWarning when a row's fit is rank deficient.
     """
+    return _unfold(eigenvalues, degree)[0]
+
+
+def _unfold(eigenvalues, degree):
+    """unfold_spacings, and the number of rows whose fit was rank deficient."""
     stack = np.asarray(eigenvalues, dtype=float)
     if stack.ndim not in (1, 2):
         raise DataError(f"expected an eigenvalue set or a stack of them, got shape {stack.shape}")
@@ -352,7 +358,7 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     ev = np.sort(stack.reshape(-1, n), axis=1)
     ev = ev[ev[:, -1] - ev[:, 0] > 0]
     if not len(ev):
-        return np.empty(0)
+        return np.empty(0), 0
     # (k, n, degree + 1) Vandermonde stack, columns 1, x, ..., x**degree.
     vander = np.empty(ev.shape + (degree + 1,))
     vander[..., 0] = 1.0
@@ -364,8 +370,9 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     vander /= scale[:, None, :]
     u, s, vt = np.linalg.svd(vander, full_matrices=False)
     kept = s > n * np.finfo(float).eps * s[:, :1]
-    if not kept.all():
-        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    rank_deficient = int(np.sum(~kept.all(axis=1)))
+    if rank_deficient:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
     staircase = np.arange(1, n + 1) - 0.5
     projected = np.divide(staircase @ u, s, out=np.zeros_like(s), where=kept)
     coeffs = np.matmul(projected[:, None, :], vt)[:, 0] / scale
@@ -373,7 +380,7 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     for j in range(degree - 1, -1, -1):
         smoothed = coeffs[:, j : j + 1] + smoothed * ev
     spacings = np.diff(smoothed, axis=1)
-    return spacings[spacings > 0]
+    return spacings[spacings > 0], rank_deficient
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:
@@ -401,7 +408,9 @@ def spacing_statistics(
     excluded before unfolding; each set is unfolded separately and the
     spacings are pooled in set order, then rescaled to mean 1. Consecutive
     sets of one length are sorted and unfolded together, in chunks of at
-    most CHUNK_BYTES of Vandermonde entries (or one set).
+    most CHUNK_BYTES of Vandermonde entries (or one set). n_rank_deficient
+    counts the sets whose unfolding fit was rank deficient; unfold_spacings
+    also warns of them with a RankWarning.
     """
     for name, value, least in (("drop_top", drop_top, 0), ("degree", degree, 1), ("bins", bins, 1)):
         if value < least:
@@ -416,7 +425,7 @@ def spacing_statistics(
         raise DataError(f"pooled bulk has {total} eigenvalues, need >= {MIN_BULK_COUNT}")
 
     pooled = []
-    dropped = 0
+    dropped = rank_deficient = 0
     for length, run in itertools.groupby(arrays, key=len):
         n = length - drop_top
         run = list(run)
@@ -426,8 +435,9 @@ def spacing_statistics(
         rows = max(1, CHUNK_BYTES // (n * (degree + 1) * 8))
         for start in range(0, len(run), rows):
             chunk = run[start : start + rows]
-            spacings = unfold_spacings(np.sort(np.stack(chunk), axis=1)[:, :n], degree)
+            spacings, chunk_deficient = _unfold(np.sort(np.stack(chunk), axis=1)[:, :n], degree)
             dropped += len(chunk) * (n - 1) - len(spacings)
+            rank_deficient += chunk_deficient
             pooled.append(spacings)
     if not pooled or sum(len(p) for p in pooled) == 0:
         raise DataError("no usable spacings after unfolding")
@@ -444,4 +454,5 @@ def spacing_statistics(
         ks_poisson=ks_distance(spacings, poisson_cdf),
         n_sets=len(arrays),
         n_dropped=dropped,
+        n_rank_deficient=rank_deficient,
     )

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import cli, lppl, synthetic, weierstrass
+from collectivity import cli, lppl, output, synthetic, weierstrass
 from collectivity.cli import main
+from collectivity.marketdata import PriceSeries
 
 
 @pytest.fixture
@@ -791,3 +792,132 @@ class TestDeterminism:
                          "--out-dir", str(out)],
             tmp_path,
         )
+
+
+class TestLpplWorkers:
+    @pytest.mark.parametrize(("variant", "grid"), [
+        ("cosine", ["--tc-nodes", "60", "--lam-nodes", "11", "--alpha-nodes", "5"]),
+        ("abs-cosine", ["--tc-nodes", "7", "--lam-nodes", "5", "--alpha-nodes", "3"]),
+    ])
+    def test_fit_record_does_not_depend_on_the_worker_count(self, lppl_series_csv, tmp_path,
+                                                            monkeypatch, variant, grid):
+        records = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lppl, "pool_workers", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            rc = main(["lppl-fit", "--input", str(lppl_series_csv), "--variant", variant,
+                       *grid, "--out-dir", str(out)])
+            assert rc == 0
+            records.append((out / "lppl_fit.json").read_bytes())
+        assert records[1] == records[0]
+        assert records[2] == records[0]
+
+
+def usage_records(err: str) -> list[dict]:
+    return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+
+
+class TestBoundaryOptions:
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    @pytest.mark.parametrize("command", ["returns", "spectrum", "lppl-fit", "extrema"])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, market_csv, lppl_series_csv,
+                                             command, delimiter):
+        if command in ("returns", "spectrum"):
+            args = [command, "--input", str(market_csv)]
+        else:
+            args = [command, "--input", str(lppl_series_csv)]
+            if command == "extrema":
+                args += ["--t-c", "400"]
+        rc = main(args + ["--delimiter", delimiter, "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert "'--delimiter'" in record["message"]
+        assert f"must be one character, got {delimiter!r}" in record["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(("config", "fault"), [
+        ([{"spectrum": {"window_length": 40}}], "the top level must be a JSON object, got an array"),
+        ({"spectrum": 5}, "section 'spectrum' must be a JSON object, got a number"),
+        ({"spectrum": {}, "lppl-fit": ["--tc-nodes", "5"]},
+         "section 'lppl-fit' must be a JSON object, got an array"),
+    ], ids=["array", "number-section", "array-section"])
+    def test_config_file_must_hold_objects(self, tmp_path, capsys, market_csv, config, fault):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["--config", str(path), "spectrum", "--input", str(market_csv),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert record["message"] == f"Invalid value for '--config': {path}: {fault}"
+        assert not (tmp_path / "o").exists()
+
+
+class TestManifestCounts:
+    @pytest.fixture
+    def sparse_market_csvs(self, tmp_path):
+        # Market A's asset S trades only the first 8 of 40 days; market B is complete.
+        days = synthetic.business_dates(dt.date(2021, 3, 1), 40)
+        rng = np.random.default_rng(3)
+
+        def series(asset, n_days):
+            prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, n_days)))
+            return PriceSeries(asset, days[:n_days], prices)
+
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        synthetic.write_price_csv(pa, [series(f"A{i}", 40) for i in range(3)] + [series("S", 8)])
+        synthetic.write_price_csv(pb, [series(f"B{i}", 40) for i in range(3)])
+        return pa, pb
+
+    @pytest.mark.parametrize("command", ["returns", "corr", "spectrum"])
+    def test_dropped_assets_are_named_in_the_manifest(self, tmp_path, sparse_market_csvs, command):
+        pa, _ = sparse_market_csvs
+        args = [command, "--input", str(pa)]
+        if command == "spectrum":
+            # At full coverage nothing is dropped, and the calendar is S's 7 return days.
+            args += ["--window-length", "5"]
+        for coverage, want in (("0.5", ["S"]), ("1.0", [])):
+            out = tmp_path / coverage
+            run = args + ["--min-coverage", coverage, "--out-dir", str(out)]
+            if want:
+                with pytest.warns(UserWarning, match="dropping S"):
+                    rc = main(run)
+            else:
+                rc = main(run)
+            assert rc == 0
+            name = command.replace("-", "_") + "_manifest.json"
+            manifest = json.loads((out / name).read_text())
+            assert manifest["config"]["assets_dropped"] == want
+
+    def test_global_spectrum_names_the_dropped_assets_per_market(self, tmp_path,
+                                                                  sparse_market_csvs):
+        pa, pb = sparse_market_csvs
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="dropping S"):
+            rc = main(["global-spectrum", "--input-a", str(pa), "--input-b", str(pb),
+                       "--min-coverage", "0.5", "--window-length", "10", "--out-dir", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "global_spectrum_manifest.json").read_text())
+        assert manifest["config"]["assets_dropped"] == {"a": ["S"], "b": []}
+
+    def test_rank_deficient_unfoldings_are_counted(self, tmp_path):
+        # The sets of test_rank_deficient_bulk_warns_like_polyfit: one bulk of three
+        # distinct values cannot pin down the six coefficients of a degree-5 fit.
+        bulk = np.repeat([0.1, 0.5, 0.9], 10)
+        sets = [np.append(bulk, 5.0)] + [np.linspace(0.0, 1.0, 31) ** p for p in (1, 2, 3)]
+        trace = tmp_path / "trace.tsv"
+        ends = synthetic.business_dates(dt.date(2022, 1, 3), 6)
+        header = ["window_end_date"] + [f"lambda_{i + 1}" for i in range(31)]
+        # Without the degenerate set, twice the others make a big enough bulk.
+        for rows, want in ((sets, 1), (2 * sets[1:], 0)):
+            output.write_tsv(trace, header, ([end] + list(ev) for end, ev in zip(ends, rows)))
+            out = tmp_path / f"o{want}"
+            if want:
+                with pytest.warns(np.exceptions.RankWarning):
+                    rc = main(["spacing-stats", "--input", str(trace), "--out-dir", str(out)])
+            else:
+                rc = main(["spacing-stats", "--input", str(trace), "--out-dir", str(out)])
+            assert rc == 0
+            record = json.loads((out / "spacing_stats.json").read_text())
+            assert record["n_rank_deficient"] == want

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -485,6 +486,120 @@ class TestGridBlocks:
         phi = None if variant == "cosine" else 0.0
         assert node == (205.0, 1.6, -0.5, phi)
         assert diag.nodes_skipped == 0
+
+
+class TestRowSlabs:
+    """Splitting a lam block's t_c rows across workers, in row batches, changes no output bit."""
+
+    @staticmethod
+    def row_bytes(times, config):
+        # One t_c row's buffers for the whole lam grid (one block): theta, the
+        # oscillation columns and their product, and for |cos| the cos and sin of theta.
+        if config.variant == "abs-cosine":
+            per_lam = 1 + 2 * PHI_SCAN_POINTS + 2
+        else:
+            per_lam = 1 + 3
+        return 8 * len(times) * len(config.lam_grid) * per_lam
+
+    @classmethod
+    def sliced_stage(cls, monkeypatch, times, y, config, workers, batch):
+        """_grid_stage with `workers` slabs of `batch`-row batches (None: all rows at once)."""
+        budget = 1 << 40 if batch is None else batch * workers * cls.row_bytes(times, config)
+        monkeypatch.setattr(lppl, "GRID_BLOCK_BYTES", budget)
+        monkeypatch.setattr(lppl, "pool_workers", lambda: workers)
+        slabs = []
+        scan_rows = lppl._scan_rows
+
+        def record(logx, *args):
+            slabs.append((len(logx), args[-1]))
+            return scan_rows(logx, *args)
+
+        monkeypatch.setattr(lppl, "_scan_rows", record)
+        diag = FitDiagnostics()
+        grid_sse, node = _grid_stage(times, y, config, diag)
+        n_rows = len(config.tc_grid)
+        # One lam block, split into one contiguous slab per worker.
+        assert sorted(n for n, _ in slabs) == sorted(len(s) for s in
+                                                     np.array_split(np.arange(n_rows), workers))
+        for slab_rows, slab_batch in slabs:
+            assert slab_batch >= slab_rows if batch is None else slab_batch == batch
+        return grid_sse, node, diag
+
+    LAYOUTS = [(workers, batch) for workers in (1, 2, 3) for batch in (1, 3, None)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_workers_and_batches_give_identical_bits(self, monkeypatch, variant):
+        t, y = bench_abs_series(58)
+        cfg = FitConfig(
+            tc_grid=np.linspace(300.5, 600.0, 7),    # 7 rows: no worker count divides them
+            lam_grid=np.linspace(1.5, 3.5, 6),
+            alpha_grid=np.linspace(-1.0, 1.0, 5),
+            variant=variant,
+        )
+        n_phi = PHI_SCAN_POINTS if variant == "abs-cosine" else 1
+        results = {layout: self.sliced_stage(monkeypatch, t, y, cfg, *layout)
+                   for layout in self.LAYOUTS}
+        want_sse, want_node, want = results[1, 1]
+        assert (want.grid_nodes, want.nodes_skipped) == (7 * 6 * 5 * n_phi, 0)
+        for grid_sse, node, diag in results.values():
+            assert np.float64(grid_sse).tobytes() == np.float64(want_sse).tobytes()
+            assert node == want_node
+            assert (diag.grid_nodes, diag.nodes_skipped) == (want.grid_nodes, want.nodes_skipped)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(("workers", "batch"), LAYOUTS)
+    def test_exact_tie_across_slabs_goes_to_the_first_row(self, monkeypatch, variant,
+                                                          workers, batch):
+        # y = 0 gives every node an SSE of exactly 0 in every t_c row: each node
+        # must keep row 0, whichever slab or batch reaches it.
+        t = np.linspace(0.0, 200.0, 80)
+        cfg = FitConfig(
+            tc_grid=np.linspace(205.0, 280.0, 5),
+            lam_grid=np.linspace(1.6, 3.0, 4),
+            alpha_grid=np.linspace(-0.5, 1.0, 3),
+            variant=variant,
+        )
+        y = np.zeros(len(t))
+        grid_sse, node, diag = self.sliced_stage(monkeypatch, t, y, cfg, workers, batch)
+        assert grid_sse == 0.0
+        assert node == (205.0, 1.6, -0.5, None if variant == "cosine" else 0.0)
+        assert diag.nodes_skipped == 0
+
+        # Every node, not only the winner, keeps the first row.
+        logx = np.log(cfg.tc_grid[:, None] - t[None, :])
+        omegas = np.array([2.0 * math.pi / math.log(lam) for lam in cfg.lam_grid])
+        if variant == "cosine":
+            phis = np.zeros(1)
+        else:
+            phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
+        with ThreadPoolExecutor(workers) as pool:
+            best_sse, best_row, _, _ = lppl._scan_block(logx, y, omegas, cfg.alpha_grid, phis,
+                                                        variant == "abs-cosine", pool)
+        assert np.all(best_sse == 0.0)
+        assert np.all(best_row == 0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_degenerate_nodes_are_counted_once_across_slabs(self, monkeypatch, variant):
+        # The degenerate-node setup of TestGridStage, with far and near t_c rows
+        # interleaved so that every slab holds some of each.
+        t = np.linspace(0.0, 30.0, 40)
+        y = np.sin(t)
+        cfg = FitConfig(
+            tc_grid=np.array([40.0, 2.0e12, 50.0, 5.0e12, 60.0]),
+            lam_grid=np.array([2.0, 1.0e9]),
+            alpha_grid=np.array([0.0, 0.5]),
+            variant=variant,
+        )
+        dets = TestGridStage.reference_determinants(t, cfg)
+        assert not np.any((dets > 0.1 * DEGENERACY_TOL) & (dets < 10.0 * DEGENERACY_TOL))
+        want_skipped = int(np.sum(~(dets > DEGENERACY_TOL)))
+        assert 0 < want_skipped < dets.size
+        want_sse, want_node, _ = TestGridStage.reference_search(t, y, cfg)
+        for layout in self.LAYOUTS:
+            grid_sse, node, diag = self.sliced_stage(monkeypatch, t, y, cfg, *layout)
+            assert (diag.grid_nodes, diag.nodes_skipped) == (dets.size, want_skipped)
+            assert node == want_node
+            assert grid_sse == pytest.approx(want_sse, rel=1e-8)
 
 
 class TestRefine:

@@ -122,6 +122,11 @@ class TestLoadPriceSeries:
         )
         assert series[0].asset_id == "X"
 
+    @pytest.mark.parametrize("delimiter", [";;", "", None])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(DataError, match=f"delimiter must be one character, got {delimiter!r}"):
+            ColumnSchema(delimiter=delimiter)
+
 
 class TestComputeReturns:
     def make(self, prices, start=dt.date(2020, 1, 1)):
@@ -302,6 +307,11 @@ class TestLoadValueSeries:
         )
         assert [d.day for d in days] == [1, 2]
         assert list(values) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(DataError, match=f"delimiter must be one character, got {delimiter!r}"):
+            load_value_series(csv_stream("date,price\n2020-01-01,1"), delimiter=delimiter)
 
     def test_duplicate_date_is_an_error(self):
         with pytest.raises(DataError, match="duplicate date"):
