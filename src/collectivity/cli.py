@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Failures also emit one machine-readable JSON line on stderr.
 
 A JSON config file may preload option values per subcommand
-(`{"spectrum": {"window_length": 30}}`); explicit flags override it.
+(`{"spectrum": {"window_length": 30}}`); explicit flags override it. A
+section that names no subcommand, or a key that names no parameter of its
+subcommand, is a usage error.
 """
 
 from __future__ import annotations
@@ -150,9 +152,19 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
             raise click.BadParameter(f"{config_path}: the top level must be a JSON object, "
                                      f"got {_json_type(default_map)}", param_hint="'--config'")
         for name, section in default_map.items():
-            if name in ctx.command.commands and not isinstance(section, dict):
+            command = ctx.command.commands.get(name)
+            if command is None:
+                raise click.BadParameter(f"{config_path}: section {name!r} names no subcommand",
+                                         param_hint="'--config'")
+            if not isinstance(section, dict):
                 raise click.BadParameter(f"{config_path}: section {name!r} must be a JSON object, "
                                          f"got {_json_type(section)}", param_hint="'--config'")
+            known = sorted(p.name for p in command.params)
+            for key in section:
+                if key not in known:
+                    raise click.BadParameter(
+                        f"{config_path}: section {name!r} has no parameter {key!r} "
+                        f"(its parameters: {', '.join(known)})", param_hint="'--config'")
         ctx.default_map = default_map
 
 

@@ -11,14 +11,17 @@ input calendars, so no prices are invented for days an exchange was closed.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
 import warnings
+from array import array
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -69,7 +72,11 @@ class PriceSeries:
 
 @dataclass
 class ReturnSeries:
-    """Per-asset log returns, labelled by the start date of each tau-day window."""
+    """Per-asset log returns, labelled by the start date of each tau-day window.
+
+    The dates increase strictly, as `compute_returns` makes them;
+    `align_calendars` relies on that.
+    """
 
     asset_id: str
     dates: list[dt.date]
@@ -103,28 +110,36 @@ class ReturnPanel:
         return len(self.dates)
 
 
-def _read_records(
+def _read_columns(
     source: str | Path | TextIO,
     date_col: str,
     value_col: str,
     delimiter: str,
     noun: str,
     key_col: str | None = None,
-) -> Iterator[tuple[int, dt.date, str | None, float]]:
-    """Yield (line number, date, key, value) for each non-blank record.
+) -> list[tuple[str, list[dt.date], np.ndarray]]:
+    """(key, dates, values) of each key's records, in key order with dates sorted.
 
-    The header row maps the column names; every record needs an ISO-8601
-    date and a finite number in the value column, plus a non-empty id in
-    the key column when one is mapped. Faults are DataErrors naming the
-    line, with the value called `noun` in their messages.
+    The header row maps the column names; a byte-order mark before it is
+    dropped. Every non-blank record needs an ISO-8601 date and a finite
+    number in the value column, plus a non-empty id in the key column when
+    one is mapped. A keyed file holds prices, which must be positive, one
+    per (id, date); without a key column all records form one series, keyed
+    "", with one value per date. Faults are DataErrors naming the earliest
+    faulty line, with the value called `noun`; within a line the checks run
+    in the order field count, date, asset id, value parse, finite,
+    non-positive, duplicate.
     """
     opened = open(source, newline="") if isinstance(source, (str, Path)) else nullcontext(source)
     with opened as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = next(reader)
         except StopIteration:
             raise DataError("empty input: no header row") from None
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
+        header = [h.strip() for h in header]
         try:
             i_date, i_value = header.index(date_col), header.index(value_col)
             i_key = None if key_col is None else header.index(key_col)
@@ -136,41 +151,103 @@ def _read_records(
             ) from None
         width = max(i_date, i_value, i_key or 0)
 
-        # One date object per distinct date text: a panel repeats each date once per asset.
-        days: dict[str, dt.date] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
+        # Records are appended to column buffers per raw key text: day code,
+        # value and record number. The raw date texts are coded through a
+        # dict, so each distinct text is parsed once, after the loop. A
+        # record's line number is recovered from the record counts at which
+        # blank rows were skipped. The read stops at a short row or an
+        # unparseable value; the records before it are still checked, since an
+        # earlier fault wins. Per-key buffers keep every array one asset long,
+        # so ingest allocates and frees no array as long as the file.
+        day_code: dict[str, int] = {}
+        by_key: dict[str, tuple[array, array, array]] = {}
+        skipped = array("q")
+        n = 0  # records read
+        stop = None  # (record number, check rank, message) of the row that ended the read
+        for row in reader:
             if len(row) <= width:
-                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            day = days.get(row[i_date])
+                if "".join(row).strip():
+                    stop = (n, 0, f"expected {len(header)} fields, got {len(row)}")
+                    break
+                skipped.append(n)
+                continue
+            text = row[i_date]
+            day = day_code.get(text)
             if day is None:
-                try:
-                    day = days[row[i_date]] = dt.date.fromisoformat(row[i_date].strip())
-                except ValueError:
-                    raise DataError(f"line {lineno}: unparseable date {row[i_date]!r}") from None
-            key = None
-            if i_key is not None:
-                key = row[i_key].strip()
-                if not key:
-                    raise DataError(f"line {lineno}: empty asset id")
+                # A blank row has a blank date text. A non-blank row with a blank
+                # date is a fault on its own line, so rows after it need no test.
+                if not text.strip() and not "".join(row).strip():
+                    skipped.append(n)
+                    continue
+                day = day_code[text] = len(day_code)
+            text = "" if i_key is None else row[i_key]
+            columns = by_key.get(text)
+            if columns is None:
+                columns = by_key[text] = (array("q"), array("d"), array("q"))
+            days, values, numbers = columns
+            days.append(day)
+            numbers.append(n)
+            n += 1
             try:
-                value = float(row[i_value])
+                values.append(float(row[i_value]))
             except ValueError:
-                raise DataError(f"line {lineno}: unparseable {noun} {row[i_value]!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"line {lineno}: non-finite {noun}")
-            yield lineno, day, key, value
+                values.append(math.nan)
+                stop = (n - 1, 3, f"unparseable {noun} {row[i_value]!r}")
+                break
 
+    # Rank the distinct date texts by parsed date, so padded spellings of one
+    # day share a rank, and merge the buffers of padded spellings of one id.
+    # A bad date ranks -1.
+    texts = list(day_code)
+    parsed = []
+    for text in texts:
+        try:
+            parsed.append(dt.date.fromisoformat(text.strip()))
+        except ValueError:
+            parsed.append(None)
+    calendar = sorted({d for d in parsed if d is not None})
+    rank = {d: r for r, d in enumerate(calendar)}
+    day_rank = np.array([rank.get(d, -1) for d in parsed], dtype=np.int64)
+    day_of = np.array(calendar, dtype=object)
+    parts: dict[str, list[tuple[array, array, array]]] = {}
+    for text, columns in by_key.items():
+        parts.setdefault(text.strip(), []).append(columns)
 
-def _bucketed_series(per_asset: dict[str, dict[dt.date, float]]) -> list[PriceSeries]:
-    """One date-sorted PriceSeries per asset, in asset-id order."""
-    if not per_asset:
-        raise DataError("no price records found")
+    faults = [] if stop is None else [stop]
     out = []
-    for asset in sorted(per_asset):
-        days = sorted(per_asset[asset])
-        out.append(PriceSeries(asset, days, np.array([per_asset[asset][d] for d in days])))
+    for key in sorted(parts):
+        days, values, numbers = (np.concatenate([np.frombuffer(c[j], dtype=t) for c in parts[key]])
+                                 for j, t in enumerate((np.int64, float, np.int64)))
+        day = day_rank[days]
+        # Date order, line order within a date: a valid date equal to its
+        # left neighbour's repeats an earlier line.
+        order = np.lexsort((numbers, day))
+        day_sorted = day[order]
+        repeat = np.zeros(len(day), dtype=bool)
+        repeat[order[1:]] = (day_sorted[1:] == day_sorted[:-1]) & (day_sorted[1:] >= 0)
+        # (failed records, check rank, message of record k); the rank orders
+        # the checks within a line.
+        checks = [
+            (day < 0, 1, lambda k: f"unparseable date {texts[days[k]]!r}"),
+            (~np.isfinite(values), 4, lambda k: f"non-finite {noun}"),
+        ]
+        if i_key is None:
+            checks.append((repeat, 6, lambda k: f"duplicate date {calendar[day[k]]}"))
+        else:
+            checks += [
+                (np.full(len(day), key == ""), 2, lambda k: "empty asset id"),
+                (values <= 0, 5, lambda k: f"non-positive price {float(values[k])} for {key}"),
+                (repeat, 6, lambda k: f"duplicate record for ({key}, {calendar[day[k]]})"),
+            ]
+        for failed, check, describe in checks:
+            if failed.any():
+                k = int(np.flatnonzero(failed)[np.argmin(numbers[failed])])
+                faults.append((int(numbers[k]), check, describe(k)))
+        if not faults:
+            out.append((key, day_of[day_sorted].tolist(), values[order]))
+    if faults:
+        i, _, message = min(faults)
+        raise DataError(f"line {i + 2 + bisect.bisect_right(skipped, i)}: {message}")
     return out
 
 
@@ -182,33 +259,49 @@ def load_price_series(source: str | Path | TextIO, schema: ColumnSchema | None =
     (asset, date) pairs are rejected rather than silently overwritten.
     """
     schema = schema or ColumnSchema()
-    records = _read_records(source, schema.date, schema.price, schema.delimiter, "price", schema.asset)
-    per_asset: dict[str, dict[dt.date, float]] = {}
-    for lineno, day, asset, price in records:
-        if price <= 0:
-            raise DataError(f"line {lineno}: non-positive price {price} for {asset}")
-        bucket = per_asset.setdefault(asset, {})
-        if day in bucket:
-            raise DataError(f"line {lineno}: duplicate record for ({asset}, {day})")
-        bucket[day] = price
-    return _bucketed_series(per_asset)
+    series = _read_columns(source, schema.date, schema.price, schema.delimiter, "price", schema.asset)
+    if not series:
+        raise DataError("no price records found")
+    return [PriceSeries(asset, days, prices) for asset, days, prices in series]
 
 
 def merge_price_series(groups: Iterable[list[PriceSeries]]) -> list[PriceSeries]:
-    """Merge per-file loader outputs into one series per asset.
+    """Merge per-file loader outputs into one series per asset, in asset-id order.
 
-    An asset may be spread over several files, but a repeated (asset, date)
-    pair is still a hard error.
+    An asset found in one input passes through unchanged. An asset may be
+    spread over several inputs, but a repeated (asset, date) pair is still a
+    hard error, reported at its first repeat in input order.
     """
-    per_asset: dict[str, dict[dt.date, float]] = {}
+    pieces: dict[str, list[tuple[int, PriceSeries]]] = {}
+    position = 0  # of a series' first record in input order
     for group in groups:
         for s in group:
-            bucket = per_asset.setdefault(s.asset_id, {})
-            for day, price in zip(s.dates, s.prices):
-                if day in bucket:
-                    raise DataError(f"duplicate record for ({s.asset_id}, {day}) across inputs")
-                bucket[day] = float(price)
-    return _bucketed_series(per_asset)
+            pieces.setdefault(s.asset_id, []).append((position, s))
+            position += len(s)
+    if not pieces:
+        raise DataError("no price records found")
+
+    merged = {asset: parts[0][1] for asset, parts in pieces.items()}
+    repeat = None  # (input position, asset, date) of the earliest repeat
+    for asset, parts in pieces.items():
+        if len(parts) == 1:
+            continue
+        dates = [d for _, s in parts for d in s.dates]
+        ordinal = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+        order = np.argsort(ordinal, kind="stable")
+        ordinal = ordinal[order]
+        repeats = order[1:][ordinal[1:] == ordinal[:-1]]
+        if repeats.size:
+            at = np.concatenate([np.arange(len(s)) + p for p, s in parts])[repeats]
+            k = int(at.argmin())
+            if repeat is None or at[k] < repeat[0]:
+                repeat = (int(at[k]), asset, dates[repeats[k]])
+            continue
+        prices = np.concatenate([s.prices for _, s in parts])
+        merged[asset] = PriceSeries(asset, [dates[i] for i in order.tolist()], prices[order])
+    if repeat is not None:
+        raise DataError(f"duplicate record for ({repeat[1]}, {repeat[2]}) across inputs")
+    return [merged[asset] for asset in sorted(merged)]
 
 
 def load_value_series(
@@ -223,15 +316,11 @@ def load_value_series(
     they are sorted by date and duplicate dates are rejected.
     """
     _check_delimiter(delimiter)
-    seen: dict[dt.date, float] = {}
-    for lineno, day, _, value in _read_records(source, date_col, value_col, delimiter, "value"):
-        if day in seen:
-            raise DataError(f"line {lineno}: duplicate date {day}")
-        seen[day] = value
-    if not seen:
+    series = _read_columns(source, date_col, value_col, delimiter, "value")
+    if not series:
         raise DataError("no records found")
-    days = sorted(seen)
-    return days, np.array([seen[d] for d in days])
+    [(_, days, values)] = series
+    return days, values
 
 
 def compute_returns(series: Sequence[PriceSeries], tau: int = 1) -> list[ReturnSeries]:
@@ -241,7 +330,7 @@ def compute_returns(series: Sequence[PriceSeries], tau: int = 1) -> list[ReturnS
     so each series shrinks by tau observations.
     """
     if tau < 1:
-        raise ValueError(f"tau must be a positive integer, got {tau}")
+        raise DataError(f"tau must be a positive integer, got {tau}")
     out = []
     for s in series:
         if len(s) <= tau:
@@ -268,10 +357,7 @@ def align_calendars(series: Sequence[ReturnSeries], min_coverage: float = 1.0) -
 
     kept = list(series)
     if min_coverage < 1.0:
-        counts: dict[dt.date, int] = {}
-        for s in series:
-            for d in s.dates:
-                counts[d] = counts.get(d, 0) + 1
+        counts = Counter(d for s in series for d in s.dates)
         majority = {d for d, c in counts.items() if c >= len(series) / 2}
         kept = []
         for s in series:
@@ -291,13 +377,13 @@ def align_calendars(series: Sequence[ReturnSeries], min_coverage: float = 1.0) -
         common.intersection_update(s.dates)
     if not common:
         raise DataError("empty intersection of trading calendars")
-    axis = sorted(common)
-
+    # Each series' dates increase strictly, so its dates in the common
+    # calendar come out in axis order.
     rows = []
     for s in kept:
-        lookup = dict(zip(s.dates, s.values))
-        rows.append([lookup[d] for d in axis])
-    return ReturnPanel([s.asset_id for s in kept], axis, np.array(rows), kept[0].lag_days)
+        in_common = np.fromiter(map(common.__contains__, s.dates), dtype=bool, count=len(s.dates))
+        rows.append(np.asarray(s.values)[in_common])
+    return ReturnPanel([s.asset_id for s in kept], sorted(common), np.array(rows), kept[0].lag_days)
 
 
 def shift_returns(panel: ReturnPanel, market_assets: Iterable[str], offset_days: int) -> ReturnPanel:

@@ -921,3 +921,59 @@ class TestManifestCounts:
             assert rc == 0
             record = json.loads((out / "spacing_stats.json").read_text())
             assert record["n_rank_deficient"] == want
+
+
+class TestConfigKeys:
+    def run_with(self, tmp_path, config, args):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path, main(["--config", str(path)] + args + ["--out-dir", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(("config", "fault"), [
+        ({"returns": {"taux": 5}}, "section 'returns' has no parameter 'taux'"),
+        ({"returns": {}, "retruns": {}}, "section 'retruns' names no subcommand"),
+        ({"spectrum": {"window_lenght": 40}}, "section 'spectrum' has no parameter 'window_lenght'"),
+        ({"returns": {"input": "p.csv"}}, "section 'returns' has no parameter 'input'"),
+    ], ids=["unknown-key", "unknown-section", "misspelt-key", "flag-name-key"])
+    def test_unknown_names_are_usage_errors(self, tmp_path, capsys, market_csv, config, fault):
+        path, rc = self.run_with(tmp_path, config, ["returns", "--input", str(market_csv)])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert record["message"].startswith(f"Invalid value for '--config': {path}: {fault}")
+        assert not (tmp_path / "o").exists()
+
+    def test_spectrum_input_key_names_the_inputs_parameter(self, tmp_path, capsys, market_csv):
+        path, rc = self.run_with(tmp_path, {"spectrum": {"input": str(market_csv)}}, ["spectrum"])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert f"{path}: section 'spectrum' has no parameter 'input'" in record["message"]
+        assert "inputs" in record["message"].split("its parameters:")[1]
+
+    def test_valid_keys_still_apply(self, tmp_path, market_csv):
+        config = {"spectrum": {"inputs": [str(market_csv)], "window_length": 40, "step": 5},
+                  "lppl-fit": {"take_log": False}}
+        _, rc = self.run_with(tmp_path, config, ["spectrum"])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "o" / "spectrum_manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [str(market_csv)]
+        assert (manifest["config"]["window_length"], manifest["config"]["step"]) == (40, 5)
+
+
+class TestByteOrderMark:
+    def with_bom(self, path: Path) -> Path:
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    def same_output(self, args, path, marked, tmp_path, name):
+        for tag, source in (("plain", path), ("bom", marked)):
+            assert main(args + ["--input", str(source), "--out-dir", str(tmp_path / tag)]) == 0
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_returns_reads_a_price_file_with_a_bom(self, market_csv, tmp_path):
+        self.same_output(["returns"], market_csv, self.with_bom(market_csv), tmp_path, "returns.tsv")
+
+    def test_lppl_fit_reads_a_series_file_with_a_bom(self, lppl_series_csv, tmp_path):
+        args = ["lppl-fit", "--tc-nodes", "5", "--lam-nodes", "3", "--alpha-nodes", "3"]
+        self.same_output(args, lppl_series_csv, self.with_bom(lppl_series_csv), tmp_path, "lppl_fit.json")
