@@ -4,8 +4,10 @@ Subcommands cover the full pipeline: `returns`, `corr`, `spectrum`,
 `global-spectrum`, `lppl-fit`, `extrema`, `weierstrass-eval`,
 `weierstrass-walk`, `rpa-demo` and `spacing-stats`. Every run writes its
 output files plus a `<subcommand>_manifest.json` echoing the resolved
-configuration, the seed (where randomness is involved) and library
-versions, so any output can be reproduced byte for byte.
+configuration, the seed (where randomness is involved), library versions
+and the BLAS thread setting, so any output can be reproduced byte for byte
+under the same BLAS setting; across settings, eigenvalues can differ in
+their last bits.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Failures also emit one machine-readable JSON line on stderr.
@@ -19,6 +21,7 @@ subcommand, is a usage error.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import itertools
 import json
 import sys
@@ -33,50 +36,25 @@ from .resources import MAX_ARRAY_BYTES
 
 
 def _echo_config(params: dict) -> dict:
-    """Manifest-ready echo of the resolved options (output location excluded)."""
+    """Manifest-ready echo of the resolved options."""
     echo = {}
     for key, value in sorted(params.items()):
-        if key in ("out_dir",):
-            continue
         if isinstance(value, tuple):
             value = list(value)
-        if isinstance(value, Path):
-            value = str(value)
         echo[key] = value
     return echo
 
 
-def _finish(
-    subcommand: str,
-    out_dir: str,
-    params: dict,
-    outputs: list[str],
-    seed: int | None = None,
-    extra: dict | None = None,
-) -> None:
-    config = _echo_config(params)
-    if extra:
-        config.update(extra)
-    manifest = output.run_manifest(subcommand, config, seed, outputs)
-    name = subcommand.replace("-", "_") + "_manifest.json"
-    output.write_json(Path(out_dir) / name, manifest)
-    click.echo(f"{subcommand}: wrote {', '.join(outputs)} and {name} in {out_dir}")
-
-
-def _ensure_out_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load_panel(paths, schema, tau: int,
-                min_coverage: float) -> tuple[marketdata.ReturnPanel, list[str]]:
-    """Aligned return panel of the price files, and the asset ids that alignment dropped."""
-    series = marketdata.merge_price_series(marketdata.load_price_series(p, schema) for p in paths)
+def _load_panel(inputs, date_col, asset_col, price_col, delimiter, tau,
+                min_coverage) -> tuple[marketdata.ReturnPanel, dict]:
+    """Aligned return panel of the price files, and its manifest extras (the dropped asset ids)."""
+    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
+    series = marketdata.merge_price_series(marketdata.load_price_series(p, schema) for p in inputs)
     returns = marketdata.compute_returns(series, tau)
     panel = marketdata.align_calendars(returns, min_coverage)
     kept = set(panel.assets)
-    return panel, [s.asset_id for s in returns if s.asset_id not in kept]
+    dropped = [s.asset_id for s in returns if s.asset_id not in kept]
+    return panel, {"alignment_policy": "intersect", "assets_dropped": dropped}
 
 
 def _one_character(ctx, param, value: str) -> str:
@@ -96,6 +74,13 @@ _INPUT_OPTIONS = [
                  help="Return lag in trading days."),
     click.option("--min-coverage", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0),
                  help="Drop assets covering less of the majority calendar."),
+]
+
+
+_PRICE_FILE_OPTIONS = [
+    click.option("--input", "inputs", multiple=True, required=True,
+                 type=click.Path(exists=True, dir_okay=False), help="Price file(s)."),
+    *_INPUT_OPTIONS,
 ]
 
 
@@ -168,36 +153,50 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
         ctx.default_map = default_map
 
 
-@cli.command()
-@click.option("--input", "inputs", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_options(_INPUT_OPTIONS)
-@click.option("--out-dir", default=".", show_default=True, help="Output directory.")
-@click.pass_context
-def returns(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_coverage, out_dir):
+def _subcommand(name: str):
+    """Register the decorated body as subcommand `name`, run by the shared runner.
+
+    The runner adds `--out-dir` as the last option and creates that directory.
+    The body takes it as `out`, with its options as keywords, and returns the
+    names of the files it wrote and extra manifest entries. The runner then
+    writes `<name>_manifest.json`: the resolved options followed by the
+    extras, and the seed of a `--seed` option where the command has one.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def run(out_dir: str, **params):
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            outputs, extra = body(out, **params)
+            manifest = output.run_manifest(name, {**_echo_config(params), **extra},
+                                           params.get("seed"), outputs)
+            manifest_name = name.replace("-", "_") + "_manifest.json"
+            output.write_json(out / manifest_name, manifest)
+            click.echo(f"{name}: wrote {', '.join(outputs)} and {manifest_name} in {out_dir}")
+
+        command = cli.command(name=name)(run)
+        command.params.append(click.Option(["--out-dir"], default=".", show_default=True,
+                                           help="Output directory."))
+        return command
+    return decorate
+
+
+@_subcommand("returns")
+@_with_options(_PRICE_FILE_OPTIONS)
+def returns(out, inputs, **reading):
     """Compute the aligned log-return panel from price files."""
-    out = _ensure_out_dir(out_dir)
-    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
+    panel, extra = _load_panel(inputs, **reading)
     output.write_panel_tsv(out / "returns.tsv", panel)
-    _finish("returns", out_dir, ctx.params, ["returns.tsv"],
-            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
+    return ["returns.tsv"], extra
 
 
-@cli.command(name="corr")
-@click.option("--input", "inputs", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_options(_INPUT_OPTIONS)
+@_subcommand("corr")
+@_with_options(_PRICE_FILE_OPTIONS)
 @click.option("--window-start", default=None, help="ISO date; first day of the window.")
 @click.option("--window-end", default=None, help="ISO date; last day of the window.")
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_coverage,
-             window_start, window_end, out_dir):
+def corr_cmd(out, inputs, window_start, window_end, **reading):
     """Correlation matrix over one window (default: the whole panel)."""
-    out = _ensure_out_dir(out_dir)
-    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
+    panel, extra = _load_panel(inputs, **reading)
     window = None
     if (window_start is None) != (window_end is None):
         raise click.UsageError("--window-start and --window-end must be given together")
@@ -209,38 +208,29 @@ def corr_cmd(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
     matrix = corr.correlation_matrix(panel, window)
     output.write_matrix_tsv(out / "corr_matrix.tsv", matrix)
     output.write_matrix_metadata(out / "corr_matrix.meta.json", matrix)
-    _finish("corr", out_dir, ctx.params, ["corr_matrix.tsv", "corr_matrix.meta.json"],
-            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
+    return ["corr_matrix.tsv", "corr_matrix.meta.json"], extra
 
 
-@cli.command()
-@click.option("--input", "inputs", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Price file(s).")
-@_with_options(_INPUT_OPTIONS)
+@_subcommand("spectrum")
+@_with_options(_PRICE_FILE_OPTIONS)
 @click.option("--window-length", default=corr.DEFAULT_WINDOW, show_default=True,
               type=click.IntRange(min=2), help="Rolling window length in trading days.")
 @click.option("--step", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--vectors/--no-vectors", default=True, show_default=True,
               help="Also write the leading eigenvector per window.")
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_coverage,
-             window_length, step, vectors, out_dir):
+def spectrum(out, inputs, window_length, step, vectors, **reading):
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
-    out = _ensure_out_dir(out_dir)
-    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel, dropped = _load_panel(inputs, schema, tau, min_coverage)
+    panel, extra = _load_panel(inputs, **reading)
     trace = spectral.spectrum_trace(corr.rolling_windows(panel, window_length, step))
     files = ["spectrum_trace.tsv"]
     output.write_spectrum_trace(out / "spectrum_trace.tsv", trace)
     if vectors:
         output.write_leading_vectors(out / "spectrum_vectors.tsv", trace, panel.assets)
         files.append("spectrum_vectors.tsv")
-    _finish("spectrum", out_dir, ctx.params, files,
-            extra={"alignment_policy": "intersect", "assets_dropped": dropped})
+    return files, {**extra, "windows": len(trace.snapshots)}
 
 
-@cli.command(name="global-spectrum")
+@_subcommand("global-spectrum")
 @click.option("--input-a", "inputs_a", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False), help="Market A price file(s).")
 @click.option("--input-b", "inputs_b", multiple=True, required=True,
@@ -251,19 +241,14 @@ def spectrum(ctx, inputs, date_col, asset_col, price_col, delimiter, tau, min_co
 @click.option("--window-length", default=corr.DEFAULT_GLOBAL_WINDOW, show_default=True,
               type=click.IntRange(min=2))
 @click.option("--step", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, delimiter, tau,
-                    min_coverage, shift_days, window_length, step, out_dir):
+def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **reading):
     """Rolling spectrum of the 2-block cross-market correlation matrix.
 
     Emits per-window collectivity metrics (gap ratio, dominance,
     participation ratio) alongside the eigenvalues.
     """
-    out = _ensure_out_dir(out_dir)
-    schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
-    panel_a, dropped_a = _load_panel(inputs_a, schema, tau, min_coverage)
-    panel_b, dropped_b = _load_panel(inputs_b, schema, tau, min_coverage)
+    panel_a, extra_a = _load_panel(inputs_a, **reading)
+    panel_b, extra_b = _load_panel(inputs_b, **reading)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
     trace = spectral.spectrum_trace(corr.rolling_windows(merged, window_length, step))
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
@@ -285,10 +270,9 @@ def global_spectrum(ctx, inputs_a, inputs_b, date_col, asset_col, price_col, del
             "alignment_policy": "intersect",
         },
     )
-    _finish("global-spectrum", out_dir, ctx.params,
-            ["global_trace.tsv", "global_blocks.json"],
-            extra={"alignment_policy": "intersect",
-                   "assets_dropped": {"a": dropped_a, "b": dropped_b}})
+    dropped = {"a": extra_a["assets_dropped"], "b": extra_b["assets_dropped"]}
+    return ["global_trace.tsv", "global_blocks.json"], {
+        **extra_a, "assets_dropped": dropped, "windows": len(trace.snapshots)}
 
 
 def _check_array_bytes(n_bytes: int, what: str) -> None:
@@ -311,7 +295,7 @@ def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -
         return np.linspace(lo, hi, nodes)
 
 
-@cli.command(name="lppl-fit")
+@_subcommand("lppl-fit")
 @_with_options(_SERIES_OPTIONS)
 @click.option("--variant", type=click.Choice(lppl.VARIANTS), default="cosine", show_default=True)
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
@@ -324,14 +308,10 @@ def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -
 @click.option("--alpha-min", type=float, default=None)
 @click.option("--alpha-max", type=float, default=None)
 @click.option("--alpha-nodes", type=click.IntRange(min=1), default=21, show_default=True)
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant, direction,
-             tc_min, tc_max, tc_nodes, lam_min, lam_max, lam_nodes,
-             alpha_min, alpha_max, alpha_nodes, out_dir):
+def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max, lam_nodes,
+             alpha_min, alpha_max, alpha_nodes, **series):
     """Fit the log-periodic power law; t_c is searched in days since the series start."""
-    out = _ensure_out_dir(out_dir)
-    origin, times, values = _load_series(input_path, date_col, value_col, delimiter, take_log)
+    origin, times, values = _load_series(**series)
     # The grid stage's largest arrays: log(t_c - t) per t_c row, the stacked
     # [env**2; env * y] per alpha, and the best SSE per (alpha, lam, phi) node.
     n_t, n_phi = len(times), lppl.PHI_SCAN_POINTS if variant == "abs-cosine" else 1
@@ -352,26 +332,22 @@ def lppl_fit(ctx, input_path, date_col, value_col, delimiter, take_log, variant,
     output.write_fit_record(out / "lppl_fit.json", result, origin)
     output.write_fit_curve(out / "lppl_curve.tsv", times, values, fitted)
     diag = result.diagnostics
-    _finish("lppl-fit", out_dir, ctx.params, ["lppl_fit.json", "lppl_curve.tsv"],
-            extra={"origin_date": origin.isoformat(), "grid_nodes": diag.grid_nodes,
-                   "nodes_skipped": diag.nodes_skipped, "refine_sweeps": diag.refine_sweeps,
-                   "converged": diag.converged})
+    return ["lppl_fit.json", "lppl_curve.tsv"], {
+        "origin_date": origin.isoformat(), "grid_nodes": diag.grid_nodes,
+        "nodes_skipped": diag.nodes_skipped, "refine_sweeps": diag.refine_sweeps,
+        "converged": diag.converged}
 
 
-@cli.command()
+@_subcommand("extrema")
 @_with_options(_SERIES_OPTIONS)
 @click.option("--t-c", "tc_text", required=True,
               help="Critical time: ISO date or float days since the series start.")
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
 @click.option("--smooth-width", default=1, show_default=True, type=click.IntRange(min=1),
               help="Moving-average width before extremum detection (1 = off).")
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def extrema(ctx, input_path, date_col, value_col, delimiter, take_log, tc_text, direction,
-            smooth_width, out_dir):
+def extrema(out, tc_text, direction, smooth_width, **series):
     """Locate oscillation extrema around t_c and report their spacing ratios."""
-    out = _ensure_out_dir(out_dir)
-    origin, times, values = _load_series(input_path, date_col, value_col, delimiter, take_log)
+    origin, times, values = _load_series(**series)
     try:
         tc = float(tc_text)
     except ValueError:
@@ -393,10 +369,10 @@ def extrema(ctx, input_path, date_col, value_col, delimiter, take_log, tc_text, 
             "lambda_estimate": progression.lambda_estimate,
         },
     )
-    _finish("extrema", out_dir, ctx.params, ["extrema.json"])
+    return ["extrema.json"], {}
 
 
-@cli.command(name="weierstrass-eval")
+@_subcommand("weierstrass-eval")
 @click.option("--a", default=1.0, show_default=True, help="Base step length.")
 @click.option("--b", default=2.0, show_default=True, help="Step-length multiplier (> 1).")
 @click.option("--m", default=4.0, show_default=True, help="Probability divisor (> 1).")
@@ -404,11 +380,8 @@ def extrema(ctx, input_path, date_col, value_col, delimiter, take_log, tc_text, 
 @click.option("--k-min", default=0.01, show_default=True)
 @click.option("--k-max", default=100.0, show_default=True)
 @click.option("--k-points", default=601, show_default=True, type=click.IntRange(min=2))
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def weierstrass_eval(ctx, a, b, m, tol, k_min, k_max, k_points, out_dir):
+def weierstrass_eval(out, a, b, m, tol, k_min, k_max, k_points):
     """Tabulate the step-distribution series p(k) on a log-spaced grid."""
-    out = _ensure_out_dir(out_dir)
     if not 0 < k_min < k_max < np.inf:
         raise click.UsageError(f"need 0 < k-min < k-max, both finite, got [{k_min}, {k_max}]")
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m, truncation_tol=tol)
@@ -421,28 +394,25 @@ def weierstrass_eval(ctx, a, b, m, tol, k_min, k_max, k_points, out_dir):
         ["k", "p", "terms"],
         ((ki, vi, depth) for ki, vi in zip(k, values)),
     )
-    _finish("weierstrass-eval", out_dir, ctx.params, ["weierstrass_p.tsv"])
+    return ["weierstrass_p.tsv"], {}
 
 
-@cli.command(name="weierstrass-walk")
+@_subcommand("weierstrass-walk")
 @click.option("--a", default=1.0, show_default=True, help="Base step length.")
 @click.option("--b", default=2.0, show_default=True, help="Step-length multiplier (> 1).")
 @click.option("--m", default=4.0, show_default=True, help="Probability divisor (> 1).")
 @click.option("--steps", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def weierstrass_walk(ctx, a, b, m, steps, seed, out_dir):
+def weierstrass_walk(out, a, b, m, steps, seed):
     """Simulate the hierarchical-step random walk."""
-    out = _ensure_out_dir(out_dir)
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m)
     walk = weierstrass.simulate_walk(params, steps, seed)
     rows = itertools.chain([(0, 0.0)], enumerate(walk.positions, start=1))
     output.write_tsv(out / "weierstrass_walk.tsv", ["step", "position"], rows)
-    _finish("weierstrass-walk", out_dir, ctx.params, ["weierstrass_walk.tsv"], seed=seed)
+    return ["weierstrass_walk.tsv"], {}
 
 
-@cli.command(name="rpa-demo")
+@_subcommand("rpa-demo")
 @click.option("--epsilon", default=1.0, show_default=True, help="Degenerate state energy.")
 @click.option("--kappa", default=0.5, show_default=True,
               help="Separable coupling (positive repulsive, negative attractive).")
@@ -450,11 +420,8 @@ def weierstrass_walk(ctx, a, b, m, steps, seed, out_dir):
               help="Number of states (used when --amplitudes is not given).")
 @click.option("--amplitudes", default=None,
               help="Comma-separated transition amplitudes; defaults to n ones.")
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def rpa_demo(ctx, epsilon, kappa, n, amplitudes, out_dir):
+def rpa_demo(out, epsilon, kappa, n, amplitudes):
     """Two-panel strength table: degenerate states vs the diagonalized solution."""
-    out = _ensure_out_dir(out_dir)
     if amplitudes is not None:
         try:
             d = np.array([float(v) for v in amplitudes.split(",")])
@@ -469,10 +436,10 @@ def rpa_demo(ctx, epsilon, kappa, n, amplitudes, out_dir):
         (float(e), float(s), "rpa") for e, s in zip(solution.energies, solution.strengths)
     ]
     output.write_tsv(out / "rpa_demo.tsv", ["energy", "strength", "panel_tag"], rows)
-    _finish("rpa-demo", out_dir, ctx.params, ["rpa_demo.tsv"])
+    return ["rpa_demo.tsv"], {}
 
 
-@cli.command(name="spacing-stats")
+@_subcommand("spacing-stats")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Spectrum trace file produced by the spectrum subcommand.")
 @click.option("--drop-top", default=1, show_default=True, type=click.IntRange(min=0),
@@ -480,11 +447,8 @@ def rpa_demo(ctx, epsilon, kappa, n, amplitudes, out_dir):
 @click.option("--degree", default=5, show_default=True, type=click.IntRange(min=1),
               help="Polynomial degree of the unfolding fit.")
 @click.option("--bins", default=32, show_default=True, type=click.IntRange(min=4))
-@click.option("--out-dir", default=".", show_default=True)
-@click.pass_context
-def spacing_stats(ctx, input_path, drop_top, degree, bins, out_dir):
+def spacing_stats(out, input_path, drop_top, degree, bins):
     """Unfolded nearest-neighbor spacing histogram with Wigner/Poisson KS distances."""
-    out = _ensure_out_dir(out_dir)
     sets = output.read_spectrum_trace(input_path)
     stats = spectral.spacing_statistics(sets, drop_top=drop_top, degree=degree, bins=bins)
     output.write_tsv(
@@ -503,7 +467,7 @@ def spacing_stats(ctx, input_path, drop_top, degree, bins, out_dir):
             "n_rank_deficient": stats.n_rank_deficient,
         },
     )
-    _finish("spacing-stats", out_dir, ctx.params, ["spacing_hist.tsv", "spacing_stats.json"])
+    return ["spacing_hist.tsv", "spacing_stats.json"], {}
 
 
 def _error_record(kind: str, message: str) -> None:

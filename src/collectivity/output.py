@@ -2,13 +2,16 @@
 
 Every writer formats floats through repr(), which round-trips exactly and
 is byte-stable across runs, so identical configurations produce identical
-files. Nothing time- or host-dependent is ever written.
+files. Nothing time-dependent is ever written. The run manifest records the
+BLAS thread settings and the worker-pool size the run saw, because the last
+bits of an eigenvalue can change with them.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,6 +23,7 @@ from .corr import CorrelationMatrix
 from .errors import DataError
 from .lppl import LpplFitResult
 from .marketdata import ReturnPanel
+from .resources import pool_workers
 from .spectral import RollingSpectrumTrace
 
 
@@ -52,7 +56,7 @@ def write_json(path: str | Path, record: dict) -> None:
 
 
 def run_manifest(subcommand: str, config: dict, seed: int | None, outputs: list[str]) -> dict:
-    """Everything needed to reproduce a run: config echo, seed, versions."""
+    """Everything needed to reproduce a run: config echo, seed, versions, BLAS threads."""
     return {
         "subcommand": subcommand,
         "config": config,
@@ -61,6 +65,9 @@ def run_manifest(subcommand: str, config: dict, seed: int | None, outputs: list[
             "collectivity": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "pool_workers": pool_workers(),
         },
         "outputs": outputs,
     }
