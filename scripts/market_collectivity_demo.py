@@ -36,7 +36,7 @@ def main() -> None:
     panel_a, panel_b = synthetic.lagged_copy_markets(
         args.assets, args.days, args.noise_share, seed=args.seed
     )
-    trace_a = spectral.spectrum_trace(corr.rolling_windows(panel_a, args.window))
+    trace_a = spectral.rolling_spectrum(panel_a, args.window)
     write_spectrum_trace(out / "market_a_trace.tsv", trace_a)
 
     print(f"market A: {args.assets} assets, {args.days} days, window {args.window}")
@@ -46,7 +46,7 @@ def main() -> None:
     rows = []
     for shift in (0, 1):
         merged = corr.merge_panels(panel_a, panel_b, shift)
-        trace = spectral.spectrum_trace(corr.rolling_windows(merged, args.window))
+        trace = spectral.rolling_spectrum(merged, args.window)
         write_spectrum_trace(out / f"global_trace_shift{shift}.tsv", trace)
         gaps = [spectral.collectivity_metrics(s).gap_ratio for s in trace.snapshots]
         tops = [s.eigenvalues[0] for s in trace.snapshots]

@@ -221,7 +221,7 @@ def corr_cmd(out, inputs, window_start, window_end, **reading):
 def spectrum(out, inputs, window_length, step, vectors, **reading):
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
     panel, extra = _load_panel(inputs, **reading)
-    trace = spectral.spectrum_trace(corr.rolling_windows(panel, window_length, step))
+    trace = spectral.rolling_spectrum(panel, window_length, step)
     files = ["spectrum_trace.tsv"]
     output.write_spectrum_trace(out / "spectrum_trace.tsv", trace)
     if vectors:
@@ -250,16 +250,16 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
     panel_a, extra_a = _load_panel(inputs_a, **reading)
     panel_b, extra_b = _load_panel(inputs_b, **reading)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
-    trace = spectral.spectrum_trace(corr.rolling_windows(merged, window_length, step))
+    trace = spectral.rolling_spectrum(merged, window_length, step)
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
         f"lambda_{i + 1}" for i in range(merged.n_assets)
     ]
     metrics = [spectral.collectivity_metrics(s) for s in trace.snapshots]
-    output.write_tsv(
+    output.write_dated_rows(
         out / "global_trace.tsv",
         header,
-        ([s.window_end, m.gap_ratio, m.dominance, m.participation_ratio]
-         + s.eigenvalues.tolist() for s, m in zip(trace.snapshots, metrics)),
+        ((s.window_end, [m.gap_ratio, m.dominance, m.participation_ratio] + s.eigenvalues.tolist())
+         for s, m in zip(trace.snapshots, metrics)),
     )
     output.write_json(
         out / "global_blocks.json",

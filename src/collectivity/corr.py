@@ -8,16 +8,19 @@ window averages,
 which is the only symmetric, unit-diagonal normalization; correlation is
 divisor-invariant, so using T rather than T-1 only affects intermediate
 quantities. The matrix is built symmetrically and the diagonal is set to 1
-exactly, so trace(C) = N holds by construction.
+exactly, so trace(C) = N holds by construction. One batched formula builds
+every matrix: a single window is a stack of one, so a window's entries have
+the same bits whichever stack it is built in.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import marketdata
 from .errors import DataError
@@ -71,19 +74,42 @@ def _window_slice(panel: ReturnPanel, window: tuple[dt.date, dt.date] | None) ->
     return lo, hi
 
 
-def _correlation_entries(block: np.ndarray, assets: list[str], window: WindowInfo) -> np.ndarray:
-    centered = block - block.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    flat = np.flatnonzero(norms == 0.0)
-    if flat.size:
-        raise DataError(
-            f"zero volatility for {assets[flat[0]]} in window "
+def _correlation_stack(
+    blocks: np.ndarray, assets: list[str], window_of: Callable[[int], WindowInfo]
+) -> tuple[np.ndarray, DataError | None]:
+    """Correlation entries of a (k, N, T) stack of return windows, one batched matmul.
+
+    The stack stops at the first window holding a zero-volatility series:
+    the entries returned are those of the windows before it, with the error
+    naming that series and its window (window_of(j) is the WindowInfo of
+    window j), else None. The caller raises the error once it is done with
+    the earlier windows, so their failures come first.
+    """
+    centered = blocks - blocks.mean(axis=2, keepdims=True)
+    norms = np.sqrt(np.einsum("kij,kij->ki", centered, centered))
+    error = None
+    flat = np.argwhere(norms == 0.0)  # row-major: window order, then asset order
+    if len(flat):
+        j, asset = flat[0]
+        window = window_of(int(j))
+        error = DataError(
+            f"zero volatility for {assets[asset]} in window "
             f"[{window.start}, {window.end}]: correlation undefined"
         )
-    entries = (centered @ centered.T) / np.outer(norms, norms)
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    return entries
+        centered, norms = centered[:j], norms[:j]
+    entries = np.matmul(centered, centered.transpose(0, 2, 1))
+    entries /= norms[:, :, None] * norms[:, None, :]
+    entries = 0.5 * (entries + entries.transpose(0, 2, 1))
+    n = entries.shape[1]
+    entries[:, np.arange(n), np.arange(n)] = 1.0
+    return entries, error
+
+
+def _correlation_entries(block: np.ndarray, assets: list[str], window: WindowInfo) -> np.ndarray:
+    entries, error = _correlation_stack(block[None], assets, lambda _: window)
+    if error is not None:
+        raise error
+    return entries[0]
 
 
 def correlation_matrix(
@@ -100,20 +126,54 @@ def correlation_matrix(
     return CorrelationMatrix(list(panel.assets), entries, info, block_split)
 
 
-def rolling_windows(panel: ReturnPanel, window_length: int, step: int = 1) -> Iterator[CorrelationMatrix]:
-    """Correlation matrices of the windows advancing by step days, built one at a time.
-
-    The arguments are checked when this is called, not at the first next(),
-    so a bad window or step fails before any work starts. Only the matrix
-    the consumer holds is alive, so memory stays O(N^2) over any number of
-    windows.
-    """
+def _check_rolling(panel: ReturnPanel, window_length: int, step: int) -> None:
     if window_length < 2:
         raise DataError(f"window_length must be >= 2, got {window_length}")
     if step < 1:
         raise DataError(f"step must be >= 1, got {step}")
     if panel.n_dates < window_length:
         raise DataError(f"panel has {panel.n_dates} dates, shorter than window {window_length}")
+
+
+def rolling_window_ends(panel: ReturnPanel, window_length: int, step: int = 1) -> list[dt.date]:
+    """End dates of the windows of rolling_windows(panel, window_length, step), one per window.
+
+    The arguments are checked as rolling_windows checks them.
+    """
+    _check_rolling(panel, window_length, step)
+    return panel.dates[window_length - 1 :: step]
+
+
+def rolling_correlation_stack(
+    panel: ReturnPanel, window_length: int, step: int, first: int, last: int
+) -> tuple[np.ndarray, DataError | None]:
+    """Entries of windows first .. last - 1 of rolling_windows, as one (k, N, N) stack.
+
+    The windows are a (k, N, T) view of the panel's returns, so only the
+    stack's own temporaries are allocated. As in _correlation_stack, the
+    stack stops before the first window with a zero-volatility series and
+    the error naming it is returned, not raised. The arguments are not checked.
+    """
+    views = sliding_window_view(panel.returns, window_length, axis=1)
+    blocks = views[:, first * step : (last - 1) * step + 1 : step].transpose(1, 0, 2)
+
+    def window_of(j: int) -> WindowInfo:
+        lo = (first + j) * step
+        return WindowInfo(panel.dates[lo], panel.dates[lo + window_length - 1], window_length)
+
+    return _correlation_stack(blocks, panel.assets, window_of)
+
+
+def rolling_windows(panel: ReturnPanel, window_length: int, step: int = 1) -> Iterator[CorrelationMatrix]:
+    """Correlation matrices of the windows advancing by step days, built one at a time.
+
+    The arguments are checked when this is called, not at the first next(),
+    so a bad window or step fails before any work starts. Only the matrix
+    the consumer holds is alive, so memory stays O(N^2) over any number of
+    windows. spectral.rolling_spectrum decomposes the same windows, with the
+    same bits, without building a CorrelationMatrix for each.
+    """
+    _check_rolling(panel, window_length, step)
 
     def windows() -> Iterator[CorrelationMatrix]:
         for lo in range(0, panel.n_dates - window_length + 1, step):

@@ -29,14 +29,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import corr
 from .corr import CorrelationMatrix
 from .errors import DataError, NumericError
+from .marketdata import ReturnPanel
 from .resources import pool_workers
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
-CHUNK_BYTES = 512 * 1024  # bytes of entries per stacked call in spectrum_trace and spacing_statistics
+# Bytes of entries per stacked call in rolling_spectrum, spectrum_trace and spacing_statistics.
+CHUNK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -230,27 +233,32 @@ def _chunks(matrices: Iterable[CorrelationMatrix]) -> Iterator[list[CorrelationM
         yield chunk
 
 
-def _window_snapshot(m: CorrelationMatrix) -> SpectrumSnapshot:
+def _decompose_windows(stack: np.ndarray, ends: list[dt.date]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (k, N) and leading eigenvectors (k, N) of a (k, N, N) stack of windows.
+
+    One stacked decomposition covers the stack. If any window fails a check,
+    the windows are redone one by one, so the error names the first failing
+    window by its end date.
+    """
     try:
-        spectrum = eigendecompose(m)
-    except (DataError, NumericError) as exc:
-        raise type(exc)(f"window ending {m.window.end}: {exc}") from exc
-    return SpectrumSnapshot(m.window.end, spectrum.eigenvalues, spectrum.leading_vector.copy())
+        values, vectors = symmetric_eigendecomposition(stack)
+        _check_semidefinite(values)
+    except (DataError, NumericError):
+        for matrix, end in zip(stack, ends):
+            try:
+                _check_semidefinite(symmetric_eigendecomposition(matrix)[0])
+            except (DataError, NumericError) as exc:
+                raise type(exc)(f"window ending {end}: {exc}") from exc
+        raise  # the checks hold matrix by matrix, so some window failed above
+    return values, vectors[:, :, 0]
 
 
 def _chunk_snapshots(chunk: list[CorrelationMatrix]) -> list[SpectrumSnapshot]:
-    """Snapshots of a chunk of windows from one stacked decomposition.
-
-    If any window fails a check, the chunk is redone window by window, so the
-    error names the first failing window.
-    """
-    try:
-        values, vectors = symmetric_eigendecomposition(np.stack([m.entries for m in chunk]))
-        _check_semidefinite(values)
-    except (DataError, NumericError):
-        return [_window_snapshot(m) for m in chunk]
+    """Snapshots of a chunk of windows from one stacked decomposition (see _decompose_windows)."""
+    values, leading = _decompose_windows(np.stack([m.entries for m in chunk]),
+                                         [m.window.end for m in chunk])
     # Copy the leading vectors: views would keep the chunk's eigenvector stack alive.
-    leading = vectors[:, :, 0].copy()
+    leading = leading.copy()
     return [SpectrumSnapshot(m.window.end, values[i], leading[i]) for i, m in enumerate(chunk)]
 
 
@@ -299,11 +307,13 @@ def _pooled_snapshots(matrices: Iterable[CorrelationMatrix], workers: int) -> li
 def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrace:
     """Eigendecompose each window and keep eigenvalues plus the leading eigenvector.
 
-    matrices may be a generator such as corr.rolling_windows. Windows are
-    decomposed in chunks of at most CHUNK_BYTES of entries (or one window),
-    one stacked call each, on a thread pool of the usable CPUs when BLAS is
-    pinned to one thread (see resources.pool_workers), else in the calling
-    thread. A matrix is released once its snapshot is taken, so memory stays
+    The adapter for any iterable of matrices; the rolling windows of one
+    panel go faster through rolling_spectrum. matrices may be a generator
+    such as corr.rolling_windows. Windows are decomposed in chunks of at most
+    CHUNK_BYTES of entries (or one window), one stacked call each, on a
+    thread pool of the usable CPUs when BLAS is pinned to one thread (see
+    resources.pool_workers), else in the calling thread. A matrix is
+    released once its snapshot is taken, so memory stays
     O(workers x chunk x N^2) however many windows there are. The snapshots,
     and the first error, come in window order.
     """
@@ -315,6 +325,68 @@ def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrac
     if not snapshots:
         raise DataError("spectrum_trace needs at least one matrix")
     return RollingSpectrumTrace(snapshots)
+
+
+def _rolling_chunk(
+    panel: ReturnPanel, window_length: int, step: int, ends: list[dt.date],
+    values: np.ndarray, leading: np.ndarray, first: int, last: int,
+) -> None:
+    """Correlate and decompose windows first .. last - 1 into those rows of values and leading.
+
+    A zero-volatility window raises after the windows before it in the range
+    are decomposed, so an earlier window's failure comes first.
+    """
+    entries, error = corr.rolling_correlation_stack(panel, window_length, step, first, last)
+    if len(entries):
+        stop = first + len(entries)
+        values[first:stop], leading[first:stop] = _decompose_windows(entries, ends[first:stop])
+    if error is not None:
+        raise error
+
+
+def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> RollingSpectrumTrace:
+    """Spectrum trace of the rolling windows of a panel, correlated and decomposed chunk by chunk.
+
+    The same windows, bits and errors as spectrum_trace(corr.rolling_windows(
+    panel, window_length, step)), whose argument checks run here at the call.
+    The windows are split into ranges of CHUNK_BYTES of entries (or one
+    window). A worker builds its range's correlation stack straight from a
+    view of the returns, decomposes it in one stacked call, and writes the
+    eigenvalues and leading vectors into two (windows, N) arrays allocated
+    here; the snapshots are views of their rows. Ranges run on a thread pool
+    of the usable CPUs when BLAS is pinned to one thread (see
+    resources.pool_workers), else in the calling thread. A range holds no
+    memory until it runs, so memory stays O(workers x chunk + windows x N).
+    The first error in window order is raised, and the ranges not yet
+    started are cancelled.
+    """
+    ends = corr.rolling_window_ends(panel, window_length, step)
+    count, n = len(ends), panel.n_assets
+    per_chunk = max(1, CHUNK_BYTES // max(1, n * n * 8))  # a panel of no assets fails in the kernel
+    # Filled by the workers in place: arrays made in a pool thread would pin
+    # pages of that thread's malloc arena (see _adopted).
+    values, leading = np.empty((count, n)), np.empty((count, n))
+    starts = range(0, count, per_chunk)
+
+    def run(first: int) -> None:
+        _rolling_chunk(panel, window_length, step, ends, values, leading,
+                       first, min(first + per_chunk, count))
+
+    workers = pool_workers()
+    if workers > 1:
+        # Imported here for the reason given in _pooled_snapshots.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # Results come in submission order; when one raises, the map
+            # iterator cancels the futures not yet started.
+            for _ in pool.map(run, starts):
+                pass
+    else:
+        for first in starts:
+            run(first)
+    return RollingSpectrumTrace([SpectrumSnapshot(end, values[i], leading[i])
+                                 for i, end in enumerate(ends)])
 
 
 def collectivity_metrics(spectrum: EigenSpectrum | SpectrumSnapshot) -> CollectivityMetrics:
