@@ -128,10 +128,10 @@ def _json_type(value) -> str:
 def cli(ctx: click.Context, config_path: str | None) -> None:
     """Collectivity diagnostics: correlation spectra, log-periodic fits, exact oracles."""
     if config_path:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             try:
                 default_map = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise click.UsageError(f"config file {config_path}: {exc}") from exc
         if not isinstance(default_map, dict):
             raise click.BadParameter(f"{config_path}: the top level must be a JSON object, "

@@ -18,10 +18,10 @@ import math
 import warnings
 from array import array
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -110,6 +110,24 @@ class ReturnPanel:
         return len(self.dates)
 
 
+@contextmanager
+def open_utf8(source: str | Path | TextIO, newline: str | None = None) -> Iterator[TextIO]:
+    """A path opened as UTF-8 text (newline as for open), or a stream as given.
+
+    A decode error while reading becomes a DataError naming the file, so the
+    bytes accepted do not depend on the locale.
+    """
+    if isinstance(source, (str, Path)):
+        opened, name = open(source, newline=newline, encoding="utf-8"), source
+    else:
+        opened, name = nullcontext(source), getattr(source, "name", "input")
+    try:
+        with opened as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_columns(
     source: str | Path | TextIO,
     date_col: str,
@@ -130,8 +148,7 @@ def _read_columns(
     in the order field count, date, asset id, value parse, finite,
     non-positive, duplicate.
     """
-    opened = open(source, newline="") if isinstance(source, (str, Path)) else nullcontext(source)
-    with opened as fh:
+    with open_utf8(source, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

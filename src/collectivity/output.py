@@ -22,7 +22,7 @@ from . import __version__
 from .corr import CorrelationMatrix
 from .errors import DataError
 from .lppl import LpplFitResult
-from .marketdata import ReturnPanel
+from .marketdata import ReturnPanel, open_utf8
 from .resources import pool_workers
 from .spectral import RollingSpectrumTrace
 
@@ -127,7 +127,7 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
     """
     sets = []
     prev_end = None
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "window_end_date":
             raise DataError(f"{path}: not a spectrum trace file (header {header[:2]}...)")

@@ -10,8 +10,8 @@ MAX_ARRAY_BYTES = 1 << 27  # largest array an option or parameter may size (128 
 def pool_workers() -> int:
     """Threads for a worker pool: the usable CPUs, or 1 unless BLAS runs one thread per call.
 
-    The pooled kernels (rolling_spectrum's and spectrum_trace's chunks of
-    windows, the slabs of t_c rows of each LPPL grid-stage lam block) spend
+    The pooled kernels (rolling_spectrum's chunks of windows, the slabs of
+    t_c rows of each LPPL grid-stage lam block) spend
     their time in BLAS, LAPACK and numpy loops that release the interpreter
     lock, so the work runs in parallel; on top of a multi-threaded BLAS the
     same pool only oversubscribes the cores. OpenBLAS reads

@@ -23,9 +23,8 @@ import datetime as dt
 import itertools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .resources import pool_workers
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
-# Bytes of entries per stacked call in rolling_spectrum, spectrum_trace and spacing_statistics.
+# Bytes of entries per stacked call in rolling_spectrum and spacing_statistics.
 CHUNK_BYTES = 512 * 1024
 
 
@@ -209,30 +208,6 @@ def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     return EigenSpectrum(values, vectors)
 
 
-def _chunks(matrices: Iterable[CorrelationMatrix]) -> Iterator[list[CorrelationMatrix]]:
-    """Consecutive same-shape matrices, CHUNK_BYTES of entries per list (at least one matrix).
-
-    An error raised by matrices comes after the windows before it have been
-    yielded, so the caller decomposes those first, as a window-by-window loop would.
-    """
-    chunk: list[CorrelationMatrix] = []
-    try:
-        for m in matrices:
-            if chunk and m.entries.shape != chunk[0].entries.shape:
-                yield chunk
-                chunk = []
-            chunk.append(m)
-            if (len(chunk) + 1) * m.entries.nbytes > CHUNK_BYTES:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
 def _decompose_windows(stack: np.ndarray, ends: list[dt.date]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (k, N) and leading eigenvectors (k, N) of a (k, N, N) stack of windows.
 
@@ -253,75 +228,21 @@ def _decompose_windows(stack: np.ndarray, ends: list[dt.date]) -> tuple[np.ndarr
     return values, vectors[:, :, 0]
 
 
-def _chunk_snapshots(chunk: list[CorrelationMatrix]) -> list[SpectrumSnapshot]:
-    """Snapshots of a chunk of windows from one stacked decomposition (see _decompose_windows)."""
-    values, leading = _decompose_windows(np.stack([m.entries for m in chunk]),
-                                         [m.window.end for m in chunk])
-    # Copy the leading vectors: views would keep the chunk's eigenvector stack alive.
-    leading = leading.copy()
-    return [SpectrumSnapshot(m.window.end, values[i], leading[i]) for i, m in enumerate(chunk)]
-
-
-def _adopted(snapshots: list[SpectrumSnapshot]) -> list[SpectrumSnapshot]:
-    # Copies made by the calling thread. Arrays kept from a pool thread pin
-    # pages of that thread's malloc arena, which the calling thread's later
-    # work cannot reuse; without the copies the peak RSS of a spectrum run
-    # followed by spacing-stats rose by several MB.
-    return [SpectrumSnapshot(s.window_end, s.eigenvalues.copy(), s.leading_vector.copy())
-            for s in snapshots]
-
-
-def _pooled_snapshots(matrices: Iterable[CorrelationMatrix], workers: int) -> list[SpectrumSnapshot]:
-    """_chunk_snapshots over a thread pool, with at most one chunk per worker in flight.
-
-    Results and errors come back in window order. Executor.map is not used
-    because it drains the matrices generator up front.
-    """
-    # Imported here: concurrent.futures imports logging, which would add
-    # about 6 ms to every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
-    snapshots: list[SpectrumSnapshot] = []
-    pending: deque = deque()
-    chunks = _chunks(matrices)
-    with ThreadPoolExecutor(workers) as pool:
-        while True:
-            try:
-                chunk = next(chunks, None)
-            except Exception:
-                # The chunks in flight hold earlier windows: their errors come first.
-                for future in pending:
-                    future.result()
-                raise
-            if chunk is None:
-                break
-            if len(pending) == workers:
-                # On an error here the later chunks still finish, and their results are dropped.
-                snapshots += _adopted(pending.popleft().result())
-            pending.append(pool.submit(_chunk_snapshots, chunk))
-        for future in pending:
-            snapshots += _adopted(future.result())
-    return snapshots
-
-
 def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrace:
     """Eigendecompose each window and keep eigenvalues plus the leading eigenvector.
 
-    The adapter for any iterable of matrices; the rolling windows of one
-    panel go faster through rolling_spectrum. matrices may be a generator
-    such as corr.rolling_windows. Windows are decomposed in chunks of at most
-    CHUNK_BYTES of entries (or one window), one stacked call each, on a
-    thread pool of the usable CPUs when BLAS is pinned to one thread (see
-    resources.pool_workers), else in the calling thread. A matrix is
-    released once its snapshot is taken, so memory stays
-    O(workers x chunk x N^2) however many windows there are. The snapshots,
-    and the first error, come in window order.
+    The serial reference for any iterable of matrices, one window at a time
+    in the calling thread; the rolling windows of one panel go faster
+    through rolling_spectrum, which gives the same bits and errors. matrices
+    may be a generator such as corr.rolling_windows: a window is decomposed
+    before the next is pulled and released once its snapshot is taken, so
+    an error comes in window order and memory stays O(windows x N).
     """
-    workers = pool_workers()
-    if workers > 1:
-        snapshots = _pooled_snapshots(matrices, workers)
-    else:
-        snapshots = [s for chunk in _chunks(matrices) for s in _chunk_snapshots(chunk)]
+    snapshots = []
+    for m in matrices:
+        values, leading = _decompose_windows(m.entries[None], [m.window.end])
+        # Copy the leading vector: a view would keep the window's N x N eigenvectors alive.
+        snapshots.append(SpectrumSnapshot(m.window.end, values[0], leading[0].copy()))
     if not snapshots:
         raise DataError("spectrum_trace needs at least one matrix")
     return RollingSpectrumTrace(snapshots)
@@ -363,8 +284,10 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
     ends = corr.rolling_window_ends(panel, window_length, step)
     count, n = len(ends), panel.n_assets
     per_chunk = max(1, CHUNK_BYTES // max(1, n * n * 8))  # a panel of no assets fails in the kernel
-    # Filled by the workers in place: arrays made in a pool thread would pin
-    # pages of that thread's malloc arena (see _adopted).
+    # Filled by the workers in place. Arrays made in a pool thread and kept
+    # would pin pages of that thread's malloc arena, which the calling
+    # thread's later work cannot reuse; such copies once raised the peak RSS
+    # of a spectrum run followed by spacing-stats by several MB.
     values, leading = np.empty((count, n)), np.empty((count, n))
     starts = range(0, count, per_chunk)
 
@@ -374,7 +297,8 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
 
     workers = pool_workers()
     if workers > 1:
-        # Imported here for the reason given in _pooled_snapshots.
+        # Imported here: concurrent.futures imports logging, which would add
+        # about 6 ms to every CLI start.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:

@@ -480,6 +480,25 @@ class TestErrorSurface:
                        "correlation undefined",
         }
 
+    @pytest.mark.parametrize(("command", "content"), [
+        ("returns", b"date,asset,price\n2020-01-01,A,1\xff\n"),
+        ("returns", "date,asset,price\n2020-01-01,A,1\n".encode("utf-16")),
+        # past the first block the reader decodes
+        ("returns", b"date,asset,price\n" + b"2020-01-01,A,1.0\n" * 2000 + b"2020-01-02,\xff,1\n"),
+        ("lppl-fit", b"date,price\n2020-01-01,\xff1\n"),
+        ("spacing-stats", b"window_end_date\tlambda_1\n2020-01-01\t1\xff\n"),
+    ], ids=["returns", "returns-utf16", "returns-late-byte", "lppl-fit", "spacing-stats"])
+    def test_non_utf8_input_is_a_data_error_naming_the_file(self, tmp_path, capsys, command,
+                                                             content):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        rc = main([command, "--input", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "data"
+        assert record["message"].startswith(f"{path}: not UTF-8 text")
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["returns", "--input", str(tmp_path / "absent.csv")])
         assert rc == 1
@@ -851,6 +870,18 @@ class TestBoundaryOptions:
         (record,) = usage_records(capsys.readouterr().err)
         assert record["error"] == "usage"
         assert record["message"] == f"Invalid value for '--config': {path}: {fault}"
+        assert not (tmp_path / "o").exists()
+
+
+    def test_config_file_must_be_utf8(self, tmp_path, capsys, market_csv):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"spectrum": {"window_length": 40}}\xff')
+        rc = main(["--config", str(path), "spectrum", "--input", str(market_csv),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert record["message"].startswith(f"config file {path}: 'utf-8' codec can't decode")
         assert not (tmp_path / "o").exists()
 
 

@@ -195,10 +195,11 @@ POOL_WORKERS = 3  # more workers than the two cores of a small runner
 
 @pytest.fixture(params=["inline", "pooled"])
 def trace_mode(request, monkeypatch):
-    """Run spectrum_trace in the calling thread, or on a pool of POOL_WORKERS threads.
+    """Run with BLAS unpinned, or pinned with POOL_WORKERS usable CPUs.
 
-    The pool is switched on the way a pinned BLAS switches it on; the CPU
-    count is fixed so the pool is used on a one-CPU machine too.
+    Pinning switches the pooled kernels' pool on; the CPU count is fixed so
+    the pool would be used on a one-CPU machine too. spectrum_trace runs in
+    the calling thread either way, and must give the same results in both.
     """
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     if request.param == "pooled":
@@ -267,31 +268,32 @@ class TestChunkedTrace:
         ]
         assert_same_bits(spectrum_trace(matrices), serial_trace(matrices))
 
-    def test_pool_holds_at_most_one_chunk_per_worker(self, trace_mode, monkeypatch):
+    def test_trace_pulls_at_most_one_window_ahead(self, trace_mode, monkeypatch):
         n = 40
         per_chunk = windows_per_chunk(n)
         panel = one_factor_panel(n, 50 + 6 * per_chunk, 0.3, seed=3)
         done = [0]
+        most_ahead = [0]
         lock = threading.Lock()
-        kernel = spectral._chunk_snapshots
+        kernel = spectral._decompose_windows
 
-        def counted(chunk):
-            snapshots = kernel(chunk)
+        def counted(stack, ends):
+            result = kernel(stack, ends)
             with lock:
-                done[0] += len(chunk)
-            return snapshots
+                done[0] += len(ends)
+            return result
 
         def watched(matrices):
             for pulled, m in enumerate(matrices, start=1):
                 with lock:
-                    ahead = pulled - done[0]
-                # the chunks in flight plus the one being filled
-                assert ahead <= (pool_workers() + 1) * per_chunk
+                    most_ahead[0] = max(most_ahead[0], pulled - done[0])
                 yield m
 
-        monkeypatch.setattr(spectral, "_chunk_snapshots", counted)
+        monkeypatch.setattr(spectral, "_decompose_windows", counted)
         trace = spectrum_trace(watched(rolling_windows(panel, 50)))
-        assert len(trace) == 6 * per_chunk + 1
+        assert len(trace) == done[0] == 6 * per_chunk + 1
+        # Only the window just pulled is waiting to be decomposed.
+        assert most_ahead[0] == 1
 
     @pytest.mark.parametrize("after", [1, 3, 30], ids=["same-chunk", "next-chunks", "much-later"])
     def test_first_bad_window_wins_over_a_later_generator_error(self, trace_mode, after):
