@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericError
-from .resources import pool_workers
+from .resources import pool_map, pool_workers
 
 VARIANTS = ("cosine", "abs-cosine")
 DIRECTIONS = ("bubble", "antibubble")
@@ -50,7 +50,8 @@ STEP_TOL = 1e-10             # relative parameter step below which the refine ha
 FD_STEP = math.sqrt(np.finfo(float).eps)   # relative forward-difference step of the Jacobian
 MAX_REFINE_SWEEPS = 500      # Levenberg-Marquardt iterations
 # Row-buffer budget of the grid stage: the lam blocks are sized so one t_c row's
-# buffers fit in it, and the t_c row batches of all workers together fit in it too.
+# buffers fit in it, and the t_c row batches of the pool_map tasks running at
+# once, one per worker, fit in it together.
 GRID_BLOCK_BYTES = 4 << 20
 
 
@@ -387,41 +388,45 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     return best_sse, best_row, skipped
 
 
-def _scan_block(logx, y, omegas, alphas, phis, abs_cosine, pool):
-    """Best SSE and its t_c row for every (alpha, lam*phi) node of one lam block.
+def _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks):
+    """Best SSE and its t_c row for every (alpha, lam*phi) node, over the lam blocks.
 
-    Returns (best_sse, best_row, nodes scanned, nodes skipped); best_sse and
-    best_row have shape (alpha, lam*phi), lam-major, and each node keeps the
-    first t_c row that reaches its least SSE.
+    Returns (best_sse, best_row, nodes skipped); best_sse and best_row have
+    shape (alpha, lam*phi), lam-major, and each node keeps the first t_c row
+    that reaches its least SSE.
 
-    The t_c rows are split into contiguous slabs, one per worker:
-    min(resources.pool_workers(), rows) on the thread pool `pool`, or one slab
-    in the calling thread when pool is None. Each slab is scanned R rows at a
-    time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (workers * one row's
-    buffers)), so the row buffers of all workers together stay within
-    GRID_BLOCK_BYTES unless one row's alone exceed it; batching divides the
-    Python-level dispatch, which holds the interpreter lock, by R. The slabs'
-    results are merged in row order under a strict <, so the worker count
-    changes no output bit.
+    The t_c rows are split into W = min(pool_workers(), rows) contiguous
+    slabs, and every (lam block, slab) pair is one task of a single
+    resources.pool_map over W threads. A task scans its slab R rows at a
+    time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (W * one row's
+    buffers for the block)), so the row buffers of all workers together stay
+    within GRID_BLOCK_BYTES unless one row's alone exceed it; batching
+    divides the Python-level dispatch, which holds the interpreter lock, by
+    R. Each block's slabs are merged in row order under a strict <, so the
+    worker count changes no output bit.
     """
     n_rows, n_t = logx.shape
-    workers = 1 if pool is None else min(pool_workers(), n_rows)
-    row_bytes = _row_bytes(n_t, len(omegas), len(phis), abs_cosine)
-    batch = max(1, GRID_BLOCK_BYTES // (workers * row_bytes))
+    workers = min(pool_workers(), n_rows)
     slabs = [(s[0], s[-1] + 1) for s in np.array_split(np.arange(n_rows), workers)]
+    tasks = [(block, slab) for block in blocks for slab in slabs]
 
-    def scan(slab):
-        lo, hi = slab
-        return _scan_rows(logx[lo:hi], y, omegas, alphas, phis, abs_cosine, batch)
+    def scan(task):
+        (lam_lo, lam_hi), (lo, hi) = task
+        row_bytes = _row_bytes(n_t, lam_hi - lam_lo, len(phis), abs_cosine)
+        batch = max(1, GRID_BLOCK_BYTES // (workers * row_bytes))
+        return _scan_rows(logx[lo:hi], y, omegas[lam_lo:lam_hi], alphas, phis, abs_cosine, batch)
 
-    results = list(map(scan, slabs) if workers == 1 else pool.map(scan, slabs))
-    best_sse, best_row, skipped = results[0]
-    for (lo, _), (sse, row, slab_skipped) in zip(slabs[1:], results[1:]):
-        better = sse < best_sse
-        best_sse[better] = sse[better]
-        best_row[better] = lo + row[better]
+    best_sse, best_row, skipped = [], [], 0
+    for (_, (lo, _)), (sse, row, slab_skipped) in zip(tasks, pool_map(scan, tasks, workers)):
         skipped += slab_skipped
-    return best_sse, best_row, n_rows * best_sse.size, skipped
+        if lo == 0:     # a block's first slab
+            best_sse.append(sse)
+            best_row.append(row)
+            continue
+        better = sse < best_sse[-1]
+        best_sse[-1][better] = sse[better]
+        best_row[-1][better] = lo + row[better]
+    return np.concatenate(best_sse, axis=1), np.concatenate(best_row, axis=1), skipped
 
 
 def _grid_stage(times, y, config, diag):
@@ -446,12 +451,11 @@ def _grid_stage(times, y, config, diag):
     row buffers (theta, the oscillation columns and their product) within
     GRID_BLOCK_BYTES, sized evenly; the block count depends only on the grids
     and the series length, since the block width sets the last bits of a
-    node's SSE. The blocks are scanned one after another, and each splits its
-    t_c rows across one thread pool of resources.pool_workers() threads
-    (_scan_block); their numpy and BLAS work releases the interpreter lock.
-    Their best-SSE and best-row arrays are joined in lam order, so ties
-    resolve to the first node in (lam, alpha, phi, t_c) order, as in a single
-    scan.
+    node's SSE. _scan_grid maps every (block, slab of t_c rows) pair in one
+    resources.pool_map; their numpy and BLAS work releases the interpreter
+    lock. The blocks' best-SSE and best-row arrays are joined in lam order,
+    so ties resolve to the first node in (lam, alpha, phi, t_c) order, as in
+    a single scan.
     """
     tc_grid = config.tc_grid
     if config.direction == "bubble":
@@ -471,24 +475,9 @@ def _grid_stage(times, y, config, diag):
     n_blocks = min(len(omegas), -(-len(omegas) * lam_bytes // GRID_BLOCK_BYTES))
     blocks = [(b[0], b[-1] + 1) for b in np.array_split(np.arange(len(omegas)), n_blocks)]
 
-    def scan(pool):
-        return [_scan_block(logx, y, omegas[lo:hi], alphas, phis, abs_cosine, pool)
-                for lo, hi in blocks]
-
-    workers = min(pool_workers(), len(tc_grid))
-    if workers > 1:
-        # Imported here: concurrent.futures imports logging, which would add
-        # about 6 ms to every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            results = scan(pool)
-    else:
-        results = scan(None)
-    best_sse = np.concatenate([r[0] for r in results], axis=1)
-    best_row = np.concatenate([r[1] for r in results], axis=1)
-    diag.grid_nodes += sum(r[2] for r in results)
-    diag.nodes_skipped += sum(r[3] for r in results)
+    best_sse, best_row, skipped = _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks)
+    diag.grid_nodes += len(tc_grid) * best_sse.size
+    diag.nodes_skipped += skipped
 
     # Reorder (alpha, lam, phi) to grid order so that argmin takes the first of equal minima.
     shape = (len(alphas), len(omegas), len(phis))

@@ -15,11 +15,13 @@ import bisect
 import csv
 import datetime as dt
 import math
+import operator
 import warnings
 from array import array
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -59,9 +61,10 @@ class PriceSeries:
         self.prices = np.asarray(self.prices, dtype=float)
         if len(self.dates) != len(self.prices):
             raise DataError(f"{self.asset_id}: {len(self.dates)} dates vs {len(self.prices)} prices")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise DataError(f"{self.asset_id}: dates not strictly increasing at {cur}")
+        dates = self.dates
+        if not all(map(operator.lt, dates, islice(dates, 1, None))):
+            cur = next(cur for prev, cur in zip(dates, dates[1:]) if cur <= prev)
+            raise DataError(f"{self.asset_id}: dates not strictly increasing at {cur}")
         if not np.all(self.prices > 0):
             bad = self.dates[int(np.argmin(self.prices > 0))]
             raise DataError(f"{self.asset_id}: non-positive price on {bad}")

@@ -32,7 +32,7 @@ from . import corr
 from .corr import CorrelationMatrix
 from .errors import DataError, NumericError
 from .marketdata import ReturnPanel
-from .resources import pool_workers
+from .resources import pool_map, pool_workers
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -143,7 +143,7 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
         _, where = _first_failure(ok, stacked)
         raise DataError(f"{where}matrix has non-finite entries")
     # Every (k, N, N) temporary is written into one of three buffers (work,
-    # vectors, spare): a fresh large array per step costs page faults that
+    # vectors, rows): a fresh large array per step costs page faults that
     # rival the arithmetic of the checks.
     transposed = stack.transpose(0, 2, 1)
     work = np.subtract(stack, transposed)
@@ -156,19 +156,17 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     sym = np.add(stack, transposed, out=work)
     sym *= 0.5
     values, vectors = np.linalg.eigh(sym)
+    # eigh's eigenvalues ascend: one reversed copy gives them descending, with
+    # the eigenvectors as contiguous rows (rows[k, j] pairs with values[k, j]).
+    values = values[:, ::-1].copy()
+    rows = vectors.transpose(0, 2, 1)[:, ::-1].copy()
     # Convention: the largest-magnitude component of each eigenvector is positive.
-    spare = np.abs(vectors)
-    lead = np.take_along_axis(vectors, np.argmax(spare, axis=1)[:, None, :], axis=1)
-    np.negative(vectors, out=vectors, where=lead < 0)
-    order = np.argsort(-values, axis=1, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=1)
-    for i in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
+    lead = np.take_along_axis(rows, np.argmax(np.abs(rows, out=vectors), axis=2)[..., None], axis=2)
+    rows *= np.where(lead < 0, -1.0, 1.0)
+    for i in np.flatnonzero(np.any(values[:, 1:] == values[:, :-1], axis=1)):
         # Key (-lambda, eigenvector components): lexsort's last row is the primary key.
-        order[i] = np.lexsort(np.vstack([vectors[i, ::-1], -values[i][None]]))
-    values = np.take_along_axis(values, order, axis=1)
-    for i in range(len(order)):
-        np.take(vectors[i], order[i], axis=1, out=spare[i])
-    vectors, spare = spare, vectors
+        order = np.lexsort(np.vstack([rows[i].T[::-1], -values[i][None]]))
+        values[i], rows[i] = values[i, order], rows[i, order]
 
     # The checks are written as `not (x <= tol)` so that a NaN defect fails them.
     n = values.shape[1]
@@ -176,20 +174,21 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     # bound grows with max |lambda| once that exceeds N, which it never does
     # for a correlation matrix (its eigenvalues sum to N). np.maximum keeps a NaN.
     bound = RESIDUAL_TOL * np.maximum(n, np.max(np.abs(values), axis=1))
-    residual = np.matmul(sym, vectors, out=spare)
-    residual -= np.multiply(vectors, values[:, None, :], out=work)  # sym is not needed again
-    worst = np.max(np.sqrt(np.einsum("kij,kij->kj", residual, residual)), axis=1)
+    residual = np.matmul(rows, sym, out=vectors)   # row j is (sym v_j)^T: sym is symmetric
+    residual -= np.multiply(values[..., None], rows, out=work)  # sym is not needed again
+    worst = np.max(np.sqrt(np.einsum("kij,kij->ki", residual, residual)), axis=1)
     ok = worst <= bound
     if not ok.all():
         i, where = _first_failure(ok, stacked)
         raise NumericError(f"{where}eigenpair residual {worst[i]:.3e} exceeds {bound[i]:.3e}")
-    gram = np.matmul(vectors.transpose(0, 2, 1), vectors, out=spare)
+    gram = np.matmul(rows, rows.transpose(0, 2, 1), out=vectors)
     gram[:, np.arange(n), np.arange(n)] -= 1.0
     ortho = np.max(np.abs(gram, out=gram), axis=(1, 2))
     ok = ortho <= RESIDUAL_TOL
     if not ok.all():
         i, where = _first_failure(ok, stacked)
         raise NumericError(f"{where}eigenvector orthonormality defect {ortho[i]:.3e}")
+    vectors = rows.transpose(0, 2, 1)
     return (values, vectors) if stacked else (values[0], vectors[0])
 
 
@@ -274,12 +273,12 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
     window). A worker builds its range's correlation stack straight from a
     view of the returns, decomposes it in one stacked call, and writes the
     eigenvalues and leading vectors into two (windows, N) arrays allocated
-    here; the snapshots are views of their rows. Ranges run on a thread pool
-    of the usable CPUs when BLAS is pinned to one thread (see
-    resources.pool_workers), else in the calling thread. A range holds no
-    memory until it runs, so memory stays O(workers x chunk + windows x N).
-    The first error in window order is raised, and the ranges not yet
-    started are cancelled.
+    here; the snapshots are views of their rows. The ranges go through
+    resources.pool_map: on a thread pool of the usable CPUs when BLAS is
+    pinned to one thread (see resources.pool_workers), else in the calling
+    thread. A range holds no memory until it runs, so memory stays
+    O(workers x chunk + windows x N). The first error in window order is
+    raised, and the ranges not yet started are cancelled.
     """
     ends = corr.rolling_window_ends(panel, window_length, step)
     count, n = len(ends), panel.n_assets
@@ -295,20 +294,7 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
         _rolling_chunk(panel, window_length, step, ends, values, leading,
                        first, min(first + per_chunk, count))
 
-    workers = pool_workers()
-    if workers > 1:
-        # Imported here: concurrent.futures imports logging, which would add
-        # about 6 ms to every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            # Results come in submission order; when one raises, the map
-            # iterator cancels the futures not yet started.
-            for _ in pool.map(run, starts):
-                pass
-    else:
-        for first in starts:
-            run(first)
+    pool_map(run, starts, pool_workers())
     return RollingSpectrumTrace([SpectrumSnapshot(end, values[i], leading[i])
                                  for i, end in enumerate(ends)])
 

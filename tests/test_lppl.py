@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -395,19 +395,22 @@ class TestGridBlocks:
     def blocked_stage(monkeypatch, times, y, config, block_bytes, workers):
         monkeypatch.setattr(lppl, "GRID_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(lppl, "pool_workers", lambda: workers)
-        blocks = []
-        scan_block = lppl._scan_block
+        scanned = []
+        scan_rows = lppl._scan_rows
 
         def record(logx, y, omegas, *args):
-            blocks.append(tuple(omegas))
-            return scan_block(logx, y, omegas, *args)
+            scanned.append(tuple(omegas))
+            return scan_rows(logx, y, omegas, *args)
 
-        monkeypatch.setattr(lppl, "_scan_block", record)
+        monkeypatch.setattr(lppl, "_scan_rows", record)
         diag = FitDiagnostics()
         grid_sse, node = _grid_stage(times, y, config, diag)
-        # The blocks cover the lam grid once, in order, however they were scheduled.
+        # Each block is scanned once per slab of t_c rows, and the blocks cover
+        # the lam grid once, in order, however they were scheduled.
+        slabs = min(workers, len(config.tc_grid))
+        assert set(Counter(scanned).values()) == {slabs}
         omegas = [2.0 * math.pi / math.log(lam) for lam in config.lam_grid]
-        blocks.sort(key=lambda block: omegas.index(block[0]))
+        blocks = sorted(set(scanned), key=lambda block: omegas.index(block[0]))
         assert [omega for block in blocks for omega in block] == omegas
         return grid_sse, node, diag, len(blocks)
 
@@ -572,9 +575,9 @@ class TestRowSlabs:
             phis = np.zeros(1)
         else:
             phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
-        with ThreadPoolExecutor(workers) as pool:
-            best_sse, best_row, _, _ = lppl._scan_block(logx, y, omegas, cfg.alpha_grid, phis,
-                                                        variant == "abs-cosine", pool)
+        # lppl.pool_workers is still patched to `workers` by sliced_stage.
+        best_sse, best_row, _ = lppl._scan_grid(logx, y, omegas, cfg.alpha_grid, phis,
+                                                variant == "abs-cosine", [(0, len(omegas))])
         assert np.all(best_sse == 0.0)
         assert np.all(best_row == 0)
 

@@ -128,6 +128,22 @@ class TestLoadPriceSeries:
             ColumnSchema(delimiter=delimiter)
 
 
+class TestPriceSeries:
+    @pytest.mark.parametrize("kind", ["repeated", "earlier"])
+    def test_first_out_of_order_date_deep_inside_is_named(self, kind):
+        days = [dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(5000)]
+        bad = 3777
+        days[bad] = days[bad - 1] if kind == "repeated" else days[bad - 2]
+        days[bad + 100] = days[bad + 99]    # a later fault is not the one named
+        with pytest.raises(DataError) as info:
+            PriceSeries("A", days, np.ones(len(days)))
+        assert str(info.value) == f"A: dates not strictly increasing at {days[bad]}"
+
+    def test_strictly_increasing_dates_pass(self):
+        days = [dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(5000)]
+        assert len(PriceSeries("A", days, np.ones(len(days)))) == 5000
+
+
 class TestComputeReturns:
     def make(self, prices, start=dt.date(2020, 1, 1)):
         days = [start + dt.timedelta(days=i) for i in range(len(prices))]

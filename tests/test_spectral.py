@@ -1,7 +1,6 @@
 import datetime as dt
 import math
 import os
-import sys
 import threading
 
 import numpy as np
@@ -190,28 +189,6 @@ class TestSpectrumTrace:
             spectrum_trace([matrix, matrix])
 
 
-POOL_WORKERS = 3  # more workers than the two cores of a small runner
-
-
-@pytest.fixture(params=["inline", "pooled"])
-def trace_mode(request, monkeypatch):
-    """Run with BLAS unpinned, or pinned with POOL_WORKERS usable CPUs.
-
-    Pinning switches the pooled kernels' pool on; the CPU count is fixed so
-    the pool would be used on a one-CPU machine too. spectrum_trace runs in
-    the calling thread either way, and must give the same results in both.
-    """
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if request.param == "pooled":
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(POOL_WORKERS)),
-                            raising=False)
-    else:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert pool_workers() == (POOL_WORKERS if request.param == "pooled" else 1)
-    return request.param
-
-
 def windows_per_chunk(n: int) -> int:
     return max(1, spectral.CHUNK_BYTES // (n * n * 8))
 
@@ -246,20 +223,15 @@ def faulty_windows(panel, window_length, bad=None, fail_at=None):
 class TestChunkedTrace:
     @pytest.mark.parametrize("n", [40, math.isqrt(spectral.CHUNK_BYTES // 8) + 1],
                              ids=["many-per-chunk", "one-per-chunk"])
-    def test_trace_matches_the_serial_oracle_bit_for_bit(self, trace_mode, n):
+    def test_trace_matches_the_serial_oracle_bit_for_bit(self, n):
         per_chunk = windows_per_chunk(n)
         count = 2 * per_chunk + 1 if per_chunk > 1 else 7
         assert count % per_chunk or per_chunk == 1
         panel = one_factor_panel(n, n + 10 + count - 1, 0.3, seed=n)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            trace = spectrum_trace(rolling_windows(panel, n + 10))
-        finally:
-            sys.setswitchinterval(interval)
+        trace = spectrum_trace(rolling_windows(panel, n + 10))
         assert_same_bits(trace, serial_trace(rolling_windows(panel, n + 10)))
 
-    def test_windows_of_different_sizes_are_not_stacked_together(self, trace_mode):
+    def test_windows_of_different_sizes_are_not_stacked_together(self):
         panels = [random_panel(n, 40, seed=n) for n in (3, 3, 5, 3)]
         matrices = [
             CorrelationMatrix(p.assets, correlation_matrix(p).entries,
@@ -268,7 +240,7 @@ class TestChunkedTrace:
         ]
         assert_same_bits(spectrum_trace(matrices), serial_trace(matrices))
 
-    def test_trace_pulls_at_most_one_window_ahead(self, trace_mode, monkeypatch):
+    def test_trace_pulls_at_most_one_window_ahead(self, monkeypatch):
         n = 40
         per_chunk = windows_per_chunk(n)
         panel = one_factor_panel(n, 50 + 6 * per_chunk, 0.3, seed=3)
@@ -296,7 +268,7 @@ class TestChunkedTrace:
         assert most_ahead[0] == 1
 
     @pytest.mark.parametrize("after", [1, 3, 30], ids=["same-chunk", "next-chunks", "much-later"])
-    def test_first_bad_window_wins_over_a_later_generator_error(self, trace_mode, after):
+    def test_first_bad_window_wins_over_a_later_generator_error(self, after):
         n = 100
         per_chunk = windows_per_chunk(n)
         assert per_chunk > 2  # so the bad window sits inside chunk 2, not at its start
@@ -306,7 +278,7 @@ class TestChunkedTrace:
         with pytest.raises(DataError, match=f"^window ending {end}: matrix is not symmetric"):
             spectrum_trace(faulty_windows(panel, 120, bad=bad, fail_at=bad + after))
 
-    def test_generator_error_surfaces_after_good_windows(self, trace_mode):
+    def test_generator_error_surfaces_after_good_windows(self):
         panel = one_factor_panel(40, 80, 0.3, seed=6)
         with pytest.raises(DataError, match="^generator fault at window 5$"):
             spectrum_trace(faulty_windows(panel, 50, fail_at=5))
