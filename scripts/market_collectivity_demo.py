@@ -40,7 +40,7 @@ def main() -> None:
     write_spectrum_trace(out / "market_a_trace.tsv", trace_a)
 
     print(f"market A: {args.assets} assets, {args.days} days, window {args.window}")
-    top = np.array([s.eigenvalues[0] for s in trace_a.snapshots])
+    top = trace_a.eigenvalues[:, 0]
     print(f"  lambda_1 over time: mean {top.mean():.2f}, min {top.min():.2f}, max {top.max():.2f}")
 
     rows = []
@@ -48,9 +48,8 @@ def main() -> None:
         merged = corr.merge_panels(panel_a, panel_b, shift)
         trace = spectral.rolling_spectrum(merged, args.window)
         write_spectrum_trace(out / f"global_trace_shift{shift}.tsv", trace)
-        gaps = [spectral.collectivity_metrics(s).gap_ratio for s in trace.snapshots]
-        tops = [s.eigenvalues[0] for s in trace.snapshots]
-        rows.append((shift, float(np.mean(gaps)), float(np.mean(tops))))
+        gaps = spectral.collectivity_metrics(trace).gap_ratio
+        rows.append((shift, float(np.mean(gaps)), float(np.mean(trace.eigenvalues[:, 0]))))
         print(f"shift {shift}: mean gap ratio {rows[-1][1]:.2f}, mean lambda_1 {rows[-1][2]:.2f}")
 
     write_tsv(out / "shift_comparison.tsv", ["shift_days", "mean_gap_ratio", "mean_lambda_1"], rows)

@@ -227,7 +227,7 @@ def spectrum(out, inputs, window_length, step, vectors, **reading):
     if vectors:
         output.write_leading_vectors(out / "spectrum_vectors.tsv", trace, panel.assets)
         files.append("spectrum_vectors.tsv")
-    return files, {**extra, "windows": len(trace.snapshots)}
+    return files, {**extra, "windows": len(trace)}
 
 
 @_subcommand("global-spectrum")
@@ -254,13 +254,9 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
     header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
         f"lambda_{i + 1}" for i in range(merged.n_assets)
     ]
-    metrics = [spectral.collectivity_metrics(s) for s in trace.snapshots]
-    output.write_dated_rows(
-        out / "global_trace.tsv",
-        header,
-        ((s.window_end, [m.gap_ratio, m.dominance, m.participation_ratio] + s.eigenvalues.tolist())
-         for s, m in zip(trace.snapshots, metrics)),
-    )
+    m = spectral.collectivity_metrics(trace)
+    table = np.column_stack([m.gap_ratio, m.dominance, m.participation_ratio, trace.eigenvalues])
+    output.write_dated_rows(out / "global_trace.tsv", header, trace.window_ends, table)
     output.write_json(
         out / "global_blocks.json",
         {
@@ -272,7 +268,7 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
     )
     dropped = {"a": extra_a["assets_dropped"], "b": extra_b["assets_dropped"]}
     return ["global_trace.tsv", "global_blocks.json"], {
-        **extra_a, "assets_dropped": dropped, "windows": len(trace.snapshots)}
+        **extra_a, "assets_dropped": dropped, "windows": len(trace)}
 
 
 def _check_array_bytes(n_bytes: int, what: str) -> None:
@@ -427,7 +423,9 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
             d = np.array([float(v) for v in amplitudes.split(",")])
         except ValueError:
             raise click.UsageError(f"--amplitudes {amplitudes!r} is not a comma-separated float list") from None
+        _check_array_bytes(8 * len(d) ** 2, f"--amplitudes of {len(d)} values")
     else:
+        _check_array_bytes(8 * n * n, f"--n {n}")
         d = np.ones(n)
     model = rpa.SchematicRpaModel(epsilon=epsilon, kappa=kappa, d=d)
     solution = rpa.solve_numeric(model)
@@ -449,6 +447,7 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
 @click.option("--bins", default=32, show_default=True, type=click.IntRange(min=4))
 def spacing_stats(out, input_path, drop_top, degree, bins):
     """Unfolded nearest-neighbor spacing histogram with Wigner/Poisson KS distances."""
+    _check_array_bytes(8 * (bins + 1), f"--bins {bins}")
     sets = output.read_spectrum_trace(input_path)
     stats = spectral.spacing_statistics(sets, drop_top=drop_top, degree=degree, bins=bins)
     output.write_tsv(

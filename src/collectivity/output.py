@@ -10,6 +10,7 @@ bits of an eigenvalue can change with them.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import os
 import platform
@@ -100,37 +101,44 @@ def write_matrix_metadata(path: str | Path, matrix: CorrelationMatrix) -> None:
     )
 
 
-def write_dated_rows(path: str | Path, header: Sequence[str],
-                     rows: Iterable[tuple[dt.date, Sequence[float]]]) -> None:
-    """Table of rows (date, floats): the same bytes as write_tsv, without per-cell dispatch.
+def write_dated_rows(path: str | Path, header: Sequence[str], dates: Sequence[dt.date],
+                     table: np.ndarray) -> None:
+    """Per date, the date and that row of a float table: write_tsv's bytes, without its dispatch.
 
-    The floats must be Python floats, as ndarray.tolist() gives.
+    Rows become Python floats one at a time; a whole (2,381, 100) table would hold about 7 MB.
     """
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for date, cells in rows:
-            fh.write(date.isoformat() + "\t" + "\t".join(map(repr, cells)) + "\n")
+        for date, row in zip(dates, table, strict=True):
+            fh.write(date.isoformat() + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def write_spectrum_trace(path: str | Path, trace: RollingSpectrumTrace) -> None:
     """Columns: window_end_date, lambda_1 ... lambda_N (descending)."""
-    n = len(trace.snapshots[0].eigenvalues)
-    header = ["window_end_date"] + [f"lambda_{i + 1}" for i in range(n)]
-    write_dated_rows(path, header, ((s.window_end, s.eigenvalues.tolist()) for s in trace.snapshots))
+    write_dated_rows(path, _trace_header(trace.eigenvalues.shape[1]), trace.window_ends,
+                     trace.eigenvalues)
+
+
+def _trace_header(n: int) -> list[str]:
+    return ["window_end_date"] + [f"lambda_{i + 1}" for i in range(n)]
 
 
 def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
     """Eigenvalue rows of a spectrum trace file (inverse of write_spectrum_trace).
 
-    Window end dates must be ISO dates, strictly increasing as in a
+    The header must be exactly window_end_date, lambda_1 ... lambda_N, and
+    window end dates ISO dates, strictly increasing as in a
     RollingSpectrumTrace.
     """
     sets = []
     prev_end = None
     with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if not header or header[0] != "window_end_date":
-            raise DataError(f"{path}: not a spectrum trace file (header {header[:2]}...)")
+        want = _trace_header(max(1, len(header) - 1))
+        for column, (got, expected) in enumerate(itertools.zip_longest(header, want), start=1):
+            if got != expected:
+                raise DataError(f"{path}: not a spectrum trace file: column {column} is "
+                                f"{'missing' if got is None else repr(got)}, expected {expected!r}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(header):
@@ -155,8 +163,8 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
 
 
 def write_leading_vectors(path: str | Path, trace: RollingSpectrumTrace, assets: Sequence[str]) -> None:
-    header = ["window_end_date"] + list(assets)
-    write_dated_rows(path, header, ((s.window_end, s.leading_vector.tolist()) for s in trace.snapshots))
+    write_dated_rows(path, ["window_end_date"] + list(assets), trace.window_ends,
+                     trace.leading_vectors)
 
 
 def fit_record(result: LpplFitResult, origin: dt.date | None = None) -> dict:

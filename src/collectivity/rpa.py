@@ -24,8 +24,6 @@ import numpy as np
 from .errors import DataError, NumericError
 from .spectral import symmetric_eigendecomposition
 
-STRENGTH_TOL = 1e-10
-
 
 @dataclass
 class SchematicRpaModel:

@@ -39,6 +39,8 @@ RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
 # Bytes of entries per stacked call in rolling_spectrum and spacing_statistics.
 CHUNK_BYTES = 512 * 1024
+# np.polyfit's warning: np.exceptions.RankWarning from numpy 2.0, np.RankWarning before.
+RankWarning = getattr(np.exceptions, "RankWarning", None) or np.RankWarning
 
 
 @dataclass
@@ -54,35 +56,27 @@ class EigenSpectrum:
 
 
 @dataclass
-class SpectrumSnapshot:
-    """Eigenvalues and leading eigenvector of one rolling window."""
-
-    window_end: dt.date
-    eigenvalues: np.ndarray
-    leading_vector: np.ndarray
-
-
-@dataclass
 class RollingSpectrumTrace:
-    """Time-ordered spectra of a rolling-window correlation study."""
+    """Time-ordered spectra: row i of the two (windows, N) arrays belongs to window_ends[i]."""
 
-    snapshots: list[SpectrumSnapshot]
+    window_ends: list[dt.date]
+    eigenvalues: np.ndarray
+    leading_vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        ends = [s.window_end for s in self.snapshots]
-        for prev, cur in zip(ends, ends[1:]):
+        for prev, cur in zip(self.window_ends, self.window_ends[1:]):
             if cur <= prev:
                 raise DataError(f"trace window ends not strictly increasing at {cur}")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.window_ends)
 
 
 @dataclass(frozen=True)
 class CollectivityMetrics:
-    gap_ratio: float
-    dominance: float
-    participation_ratio: float
+    gap_ratio: float | np.ndarray
+    dominance: float | np.ndarray
+    participation_ratio: float | np.ndarray
 
 
 @dataclass
@@ -234,17 +228,23 @@ def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrac
     in the calling thread; the rolling windows of one panel go faster
     through rolling_spectrum, which gives the same bits and errors. matrices
     may be a generator such as corr.rolling_windows: a window is decomposed
-    before the next is pulled and released once its snapshot is taken, so
-    an error comes in window order and memory stays O(windows x N).
+    before the next is pulled and released once its rows are kept, so an
+    error comes in window order and memory stays O(windows x N). Every
+    window must have the asset count of the first.
     """
-    snapshots = []
+    ends, values, leading = [], [], []
     for m in matrices:
-        values, leading = _decompose_windows(m.entries[None], [m.window.end])
+        window_values, window_leading = _decompose_windows(m.entries[None], [m.window.end])
+        if values and window_values.shape != values[0].shape:
+            raise DataError(f"window ending {m.window.end}: {window_values.shape[1]} assets, "
+                            f"but the first window has {values[0].shape[1]}")
+        ends.append(m.window.end)
+        values.append(window_values)
         # Copy the leading vector: a view would keep the window's N x N eigenvectors alive.
-        snapshots.append(SpectrumSnapshot(m.window.end, values[0], leading[0].copy()))
-    if not snapshots:
+        leading.append(window_leading.copy())
+    if not ends:
         raise DataError("spectrum_trace needs at least one matrix")
-    return RollingSpectrumTrace(snapshots)
+    return RollingSpectrumTrace(ends, np.concatenate(values), np.concatenate(leading))
 
 
 def _rolling_chunk(
@@ -272,8 +272,8 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
     The windows are split into ranges of CHUNK_BYTES of entries (or one
     window). A worker builds its range's correlation stack straight from a
     view of the returns, decomposes it in one stacked call, and writes the
-    eigenvalues and leading vectors into two (windows, N) arrays allocated
-    here; the snapshots are views of their rows. The ranges go through
+    eigenvalues and leading vectors into the trace's two (windows, N)
+    arrays, allocated here. The ranges go through
     resources.pool_map: on a thread pool of the usable CPUs when BLAS is
     pinned to one thread (see resources.pool_workers), else in the calling
     thread. A range holds no memory until it runs, so memory stays
@@ -295,20 +295,24 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
                        first, min(first + per_chunk, count))
 
     pool_map(run, starts, pool_workers())
-    return RollingSpectrumTrace([SpectrumSnapshot(end, values[i], leading[i])
-                                 for i, end in enumerate(ends)])
+    return RollingSpectrumTrace(ends, values, leading)
 
 
-def collectivity_metrics(spectrum: EigenSpectrum | SpectrumSnapshot) -> CollectivityMetrics:
-    """Gap ratio, dominance and participation ratio of the leading mode."""
-    n = len(spectrum.eigenvalues)
+def collectivity_metrics(spectrum: EigenSpectrum | RollingSpectrumTrace) -> CollectivityMetrics:
+    """Gap ratio, dominance and participation ratio of the leading mode.
+
+    Floats for an EigenSpectrum; for a trace, arrays with one entry per window.
+    """
+    stacked = isinstance(spectrum, RollingSpectrumTrace)
+    leading = spectrum.leading_vectors if stacked else spectrum.leading_vector
+    n = spectrum.eigenvalues.shape[-1]
     if n < 2:
         raise DataError("collectivity metrics need at least 2 eigenvalues")
-    top, second = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[1])
+    top, second = spectrum.eigenvalues[..., 0], spectrum.eigenvalues[..., 1]
     # A second eigenvalue at numerical zero makes the gap the infinity sentinel.
-    gap = top / second if second > RESIDUAL_TOL else math.inf
-    v = spectrum.leading_vector
-    return CollectivityMetrics(gap, top / n, float(1.0 / np.sum(v**4)))
+    gap = np.divide(top, second, out=np.full(top.shape, math.inf), where=second > RESIDUAL_TOL)
+    metrics = gap, top / n, 1.0 / np.sum(leading**4, axis=-1)
+    return CollectivityMetrics(*metrics) if stacked else CollectivityMetrics(*map(float, metrics))
 
 
 def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
@@ -354,7 +358,7 @@ def _unfold(eigenvalues, degree):
     kept = s > n * np.finfo(float).eps * s[:, :1]
     rank_deficient = int(np.sum(~kept.all(axis=1)))
     if rank_deficient:
-        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+        warnings.warn("The fit may be poorly conditioned", RankWarning, stacklevel=3)
     staircase = np.arange(1, n + 1) - 0.5
     projected = np.divide(staircase @ u, s, out=np.zeros_like(s), where=kept)
     coeffs = np.matmul(projected[:, None, :], vt)[:, 0] / scale

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import cli, lppl, output, synthetic, weierstrass
+from collectivity import cli, lppl, output, spectral, synthetic, weierstrass
 from collectivity.cli import main
 from collectivity.marketdata import PriceSeries
 
@@ -307,6 +307,26 @@ class TestOracleCommands:
         assert rc == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": "data", "message": f"{trace}:{message}"}
+        assert not (tmp_path / "o" / "spacing_stats.json").exists()
+
+    @pytest.mark.parametrize(("name", "column"), [("spectrum_vectors.tsv", "A00"),
+                                                   ("global_trace.tsv", "gap_ratio")])
+    def test_other_tables_are_not_spectrum_traces(self, market_csv, two_market_csvs, tmp_path,
+                                                  capsys, name, column):
+        pa, pb = two_market_csvs
+        assert main(["spectrum", "--input", str(market_csv), "--window-length", "40",
+                     "--out-dir", str(tmp_path / "t")]) == 0
+        assert main(["global-spectrum", "--input-a", str(pa), "--input-b", str(pb),
+                     "--window-length", "40", "--out-dir", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        table = tmp_path / "t" / name
+        rc = main(["spacing-stats", "--input", str(table), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "data",
+            "message": f"{table}: not a spectrum trace file: column 2 is {column!r}, "
+                       "expected 'lambda_1'"}
         assert not (tmp_path / "o" / "spacing_stats.json").exists()
 
     def test_tiny_series_tolerance_sets_the_depth(self, tmp_path, capsys):
@@ -665,10 +685,18 @@ class TestOptionArrayCap:
          "needs a 168,000,000,000-byte array"),
         (["weierstrass-eval", "--k-points", "100000000000"],
          "--k-points 100000000000 needs a 800,000,000,000-byte array"),
-    ], ids=["tc-nodes", "alpha-nodes", "abs-nodes", "lam-nodes", "k-points"])
+        (["spacing-stats", "--bins", "10000000000000"],
+         "--bins 10000000000000 needs a 80,000,000,000,008-byte array"),
+        (["rpa-demo", "--n", "10000000"],
+         "--n 10000000 needs a 800,000,000,000,000-byte array"),
+        (["rpa-demo", "--amplitudes", ",".join(["1"] * 4097)],
+         "--amplitudes of 4097 values needs a 134,283,272-byte array"),
+    ], ids=["tc-nodes", "alpha-nodes", "abs-nodes", "lam-nodes", "k-points", "bins", "rpa-n",
+            "rpa-amplitudes"])
     def test_over_the_cap_is_a_data_error(self, tmp_path, capsys, lppl_series_csv, args,
                                           message):
-        if args[0] == "lppl-fit":
+        # The check comes before spacing-stats reads its input, so any file will do.
+        if args[0] in ("lppl-fit", "spacing-stats"):
             args = args + ["--input", str(lppl_series_csv)]
         tracemalloc.start()
         try:
@@ -945,7 +973,7 @@ class TestManifestCounts:
             output.write_tsv(trace, header, ([end] + list(ev) for end, ev in zip(ends, rows)))
             out = tmp_path / f"o{want}"
             if want:
-                with pytest.warns(np.exceptions.RankWarning):
+                with pytest.warns(spectral.RankWarning):
                     rc = main(["spacing-stats", "--input", str(trace), "--out-dir", str(out)])
             else:
                 rc = main(["spacing-stats", "--input", str(trace), "--out-dir", str(out)])

@@ -72,8 +72,8 @@ class TestTraceFiles:
         write_spectrum_trace(path, trace)
         sets = read_spectrum_trace(path)
         assert len(sets) == len(trace)
-        for loaded, snapshot in zip(sets, trace.snapshots):
-            assert np.array_equal(loaded, snapshot.eigenvalues)
+        for loaded, values in zip(sets, trace.eigenvalues):
+            assert np.array_equal(loaded, values)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"

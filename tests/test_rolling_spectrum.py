@@ -47,11 +47,10 @@ def one_per_chunk_n() -> int:
 
 
 def assert_same_bits(trace, reference):
-    assert len(trace) == len(reference)
-    for snap, ref in zip(trace.snapshots, reference.snapshots):
-        assert snap.window_end == ref.window_end
-        assert snap.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-        assert snap.leading_vector.tobytes() == ref.leading_vector.tobytes()
+    assert trace.window_ends == reference.window_ends
+    assert trace.eigenvalues.shape == reference.eigenvalues.shape
+    assert trace.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert trace.leading_vectors.tobytes() == reference.leading_vectors.tobytes()
 
 
 def error_of(call):
@@ -85,15 +84,14 @@ class TestSameTraceAsTheAdapter:
         assert len(trace) == windows
         assert_same_bits(trace, spectrum_trace(rolling_windows(panel, window, step)))
 
-    def test_snapshots_are_rows_of_two_shared_arrays(self, mode):
+    def test_trace_holds_the_two_arrays_the_workers_filled(self, mode):
         panel = one_factor_panel(40, 50 + 2 * windows_per_chunk(40), 0.3, seed=2)
-        snapshots = rolling_spectrum(panel, 50).snapshots
-        values = snapshots[0].eigenvalues.base
-        leading = snapshots[0].leading_vector.base
-        assert values is not None and leading is not None and values is not leading
-        assert values.shape == leading.shape == (len(snapshots), 40)
-        assert all(s.eigenvalues.base is values for s in snapshots)
-        assert all(s.leading_vector.base is leading for s in snapshots)
+        trace = rolling_spectrum(panel, 50)
+        values, leading = trace.eigenvalues, trace.leading_vectors
+        assert len(trace.window_ends) == 2 * windows_per_chunk(40) + 1
+        assert values.shape == leading.shape == (len(trace), 40)
+        assert values.base is None and leading.base is None
+        assert not np.shares_memory(values, leading)
 
     @pytest.mark.parametrize(("window", "step", "match"), [
         (1, 1, "^window_length must be >= 2, got 1$"),

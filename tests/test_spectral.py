@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.stats import spearmanr
 
 from collectivity import spectral
@@ -148,7 +149,7 @@ class TestSpectrumTrace:
         matrix = correlation_matrix(random_panel(4, 30, 6))
         trace = spectrum_trace([matrix])
         assert len(trace) == 1
-        assert trace.snapshots[0].window_end == matrix.window.end
+        assert trace.window_ends[0] == matrix.window.end
 
     def test_constant_matrices_give_constant_trace(self):
         panel = random_panel(4, 40, 7)
@@ -157,7 +158,7 @@ class TestSpectrumTrace:
             w1.assets, w1.entries.copy(), WindowInfo(panel.dates[1], panel.dates[30], 30)
         )
         trace = spectrum_trace([w1, w2])
-        assert np.allclose(trace.snapshots[0].eigenvalues, trace.snapshots[1].eigenvalues)
+        assert np.allclose(trace.eigenvalues[0], trace.eigenvalues[1])
 
     def test_ramping_factor_gives_increasing_top_eigenvalue(self):
         n_dates = 1500
@@ -165,7 +166,7 @@ class TestSpectrumTrace:
         panel = one_factor_panel(20, n_dates, 0.4, seed=8, loading_ramp=ramp)
         matrices = rolling_correlation(panel, 60, step=60)
         trace = spectrum_trace(matrices)
-        tops = [s.eigenvalues[0] for s in trace.snapshots]
+        tops = trace.eigenvalues[:, 0]
         rho, _ = spearmanr(np.arange(len(tops)), tops)
         assert rho > 0.9
 
@@ -204,10 +205,10 @@ def serial_trace(matrices):
 
 def assert_same_bits(trace, reference):
     assert len(trace) == len(reference)
-    for snap, (end, values, leading) in zip(trace.snapshots, reference):
-        assert snap.window_end == end
-        assert snap.eigenvalues.tobytes() == values.tobytes()
-        assert snap.leading_vector.tobytes() == leading.tobytes()
+    for i, (end, values, leading) in enumerate(reference):
+        assert trace.window_ends[i] == end
+        assert trace.eigenvalues[i].tobytes() == values.tobytes()
+        assert trace.leading_vectors[i].tobytes() == leading.tobytes()
 
 
 def faulty_windows(panel, window_length, bad=None, fail_at=None):
@@ -231,14 +232,16 @@ class TestChunkedTrace:
         trace = spectrum_trace(rolling_windows(panel, n + 10))
         assert_same_bits(trace, serial_trace(rolling_windows(panel, n + 10)))
 
-    def test_windows_of_different_sizes_are_not_stacked_together(self):
+    def test_windows_of_different_asset_counts_are_rejected(self):
         panels = [random_panel(n, 40, seed=n) for n in (3, 3, 5, 3)]
         matrices = [
             CorrelationMatrix(p.assets, correlation_matrix(p).entries,
                               WindowInfo(dt.date(2020, 1, 1), dt.date(2020, 2, 1 + i), 30))
             for i, p in enumerate(panels)
         ]
-        assert_same_bits(spectrum_trace(matrices), serial_trace(matrices))
+        with pytest.raises(DataError,
+                           match="^window ending 2020-02-03: 5 assets, but the first window has 3$"):
+            spectrum_trace(matrices)
 
     def test_trace_pulls_at_most_one_window_ahead(self, monkeypatch):
         n = 40
@@ -359,6 +362,21 @@ class TestCollectivityMetrics:
         assert np.mean(dom) == pytest.approx(oracle_dominance, rel=0.10)
         assert np.mean(pr) == pytest.approx(oracle_pr, rel=0.10)
 
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_trace_metrics_equal_the_per_window_calls_bit_for_bit(self, n):
+        panel = one_factor_panel(n, n + 20, 0.3, seed=n)
+        matrices = list(rolling_windows(panel, n + 10, step=2))
+        # A perfectly correlated last window: lambda_2 at numerical zero, so its gap is inf.
+        matrices.append(as_corr(np.ones((n, n)), start=panel.dates[-1]))
+        stacked = collectivity_metrics(spectrum_trace(matrices))
+        per_window = [collectivity_metrics(eigendecompose(m)) for m in matrices]
+        assert per_window[-1].gap_ratio == math.inf
+        assert all(np.isfinite(m.gap_ratio) for m in per_window[:-1])
+        for field in ("gap_ratio", "dominance", "participation_ratio"):
+            want = [getattr(m, field) for m in per_window]
+            assert all(type(w) is float for w in want)
+            assert getattr(stacked, field).tobytes() == np.array(want).tobytes()
+
     def test_needs_two_eigenvalues(self):
         spec = eigendecompose(as_corr(np.eye(2)))
         spec.eigenvalues = spec.eigenvalues[:1]
@@ -409,7 +427,7 @@ class TestSpacingStatistics:
 
     def test_wigner_surmise_normalization(self):
         s = np.linspace(0, 8, 20001)
-        mass = np.trapezoid(wigner_surmise(s), s)
+        mass = trapezoid(wigner_surmise(s), s)
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert wigner_cdf(np.array([8.0]))[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -462,7 +480,7 @@ class TestUnfoldSpacings:
         # N = 100 assets over T = 30 days: each window has 71 eigenvalues at numerical zero.
         panel = one_factor_panel(100, 60, 0.3, seed=8)
         trace = spectrum_trace(rolling_windows(panel, 30))
-        sets = [s.eigenvalues for s in trace.snapshots]
+        sets = list(trace.eigenvalues)
         assert all(np.sum(np.abs(ev) < 1e-9) >= 70 for ev in sets)
         self.assert_matches_reference(sets, degree=degree)
 
@@ -524,9 +542,9 @@ class TestUnfoldSpacings:
         # Three distinct values cannot pin down six coefficients.
         bulk = np.repeat([0.1, 0.5, 0.9], 10)
         sets = [np.append(bulk, 5.0)] + [np.linspace(0.0, 1.0, 31) ** p for p in (1, 2, 3)]
-        with pytest.warns(np.exceptions.RankWarning):
+        with pytest.warns(spectral.RankWarning):
             stats = spacing_statistics(sets)
-        with pytest.warns(np.exceptions.RankWarning):
+        with pytest.warns(spectral.RankWarning):
             spacings, dropped, _, _ = reference_statistics(sets, 1, 5)
         assert stats.n_dropped == dropped
         np.testing.assert_allclose(stats.spacings, spacings, rtol=1e-8)
