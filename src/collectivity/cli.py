@@ -156,7 +156,8 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
 def _subcommand(name: str):
     """Register the decorated body as subcommand `name`, run by the shared runner.
 
-    The runner adds `--out-dir` as the last option and creates that directory.
+    The runner adds `--out-dir` as the last option and creates that directory;
+    a path it cannot create (a file, or a path below one) is a usage error.
     The body takes it as `out`, with its options as keywords, and returns the
     names of the files it wrote and extra manifest entries. The runner then
     writes `<name>_manifest.json`: the resolved options followed by the
@@ -166,7 +167,11 @@ def _subcommand(name: str):
         @functools.wraps(body)
         def run(out_dir: str, **params):
             out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:   # the path or one of its parents is a file, say
+                raise click.BadParameter(f"cannot create directory {out_dir!r}: {exc.strerror}",
+                                         param_hint="'--out-dir'") from None
             outputs, extra = body(out, **params)
             manifest = output.run_manifest(name, {**_echo_config(params), **extra},
                                            params.get("seed"), outputs)
@@ -251,12 +256,7 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
     panel_b, extra_b = _load_panel(inputs_b, **reading)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
     trace = spectral.rolling_spectrum(merged, window_length, step)
-    header = ["window_end_date", "gap_ratio", "dominance", "participation_ratio"] + [
-        f"lambda_{i + 1}" for i in range(merged.n_assets)
-    ]
-    m = spectral.collectivity_metrics(trace)
-    table = np.column_stack([m.gap_ratio, m.dominance, m.participation_ratio, trace.eigenvalues])
-    output.write_dated_rows(out / "global_trace.tsv", header, trace.window_ends, table)
+    output.write_global_trace(out / "global_trace.tsv", trace, spectral.collectivity_metrics(trace))
     output.write_json(
         out / "global_blocks.json",
         {
@@ -271,11 +271,19 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
         **extra_a, "assets_dropped": dropped, "windows": len(trace)}
 
 
-def _check_array_bytes(n_bytes: int, what: str) -> None:
-    """Reject option values that would size an array above MAX_ARRAY_BYTES, before it exists."""
+def _check_array_bytes(n_bytes: int, what: str, arrays: int = 1) -> None:
+    """Reject option values that would size arrays above MAX_ARRAY_BYTES, before they exist.
+
+    `arrays` arrays of n_bytes each are alive at once and must fit the cap
+    together; the message names a single array that alone is over it.
+    """
+    if arrays * n_bytes <= MAX_ARRAY_BYTES:
+        return
     if n_bytes > MAX_ARRAY_BYTES:
-        raise DataError(f"{what} needs a {n_bytes:,}-byte array, "
-                        f"above the {MAX_ARRAY_BYTES:,}-byte cap")
+        held = f"a {n_bytes:,}-byte array"
+    else:
+        held = f"{arrays} {n_bytes:,}-byte arrays at once"
+    raise DataError(f"{what} needs {held}, above the {MAX_ARRAY_BYTES:,}-byte cap")
 
 
 def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -> np.ndarray:
@@ -423,9 +431,9 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
             d = np.array([float(v) for v in amplitudes.split(",")])
         except ValueError:
             raise click.UsageError(f"--amplitudes {amplitudes!r} is not a comma-separated float list") from None
-        _check_array_bytes(8 * len(d) ** 2, f"--amplitudes of {len(d)} values")
+        _check_array_bytes(8 * len(d) ** 2, f"--amplitudes of {len(d)} values", rpa.SOLVE_ARRAYS)
     else:
-        _check_array_bytes(8 * n * n, f"--n {n}")
+        _check_array_bytes(8 * n * n, f"--n {n}", rpa.SOLVE_ARRAYS)
         d = np.ones(n)
     model = rpa.SchematicRpaModel(epsilon=epsilon, kappa=kappa, d=d)
     solution = rpa.solve_numeric(model)

@@ -25,7 +25,7 @@ from .errors import DataError
 from .lppl import LpplFitResult
 from .marketdata import ReturnPanel, open_utf8
 from .resources import pool_workers
-from .spectral import RollingSpectrumTrace
+from .spectral import CollectivityMetrics, RollingSpectrumTrace
 
 
 def format_cell(value) -> str:
@@ -119,8 +119,20 @@ def write_spectrum_trace(path: str | Path, trace: RollingSpectrumTrace) -> None:
                      trace.eigenvalues)
 
 
-def _trace_header(n: int) -> list[str]:
-    return ["window_end_date"] + [f"lambda_{i + 1}" for i in range(n)]
+def write_global_trace(path: str | Path, trace: RollingSpectrumTrace,
+                       metrics: CollectivityMetrics) -> None:
+    """Columns: window_end_date, gap_ratio, dominance, participation_ratio,
+    lambda_1 ... lambda_N (descending); metrics holds one entry per window."""
+    table = np.column_stack([metrics.gap_ratio, metrics.dominance, metrics.participation_ratio,
+                             trace.eigenvalues])
+    header = _trace_header(trace.eigenvalues.shape[1],
+                           ["gap_ratio", "dominance", "participation_ratio"])
+    write_dated_rows(path, header, trace.window_ends, table)
+
+
+def _trace_header(n: int, metric_columns: Sequence[str] = ()) -> list[str]:
+    """window_end_date, then the metric columns, then lambda_1 ... lambda_n."""
+    return ["window_end_date", *metric_columns] + [f"lambda_{i + 1}" for i in range(n)]
 
 
 def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:

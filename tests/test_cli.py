@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import cli, lppl, output, spectral, synthetic, weierstrass
+from collectivity import cli, lppl, output, rpa, spectral, synthetic, weierstrass
 from collectivity.cli import main
 from collectivity.marketdata import PriceSeries
 
@@ -711,6 +711,39 @@ class TestOptionArrayCap:
         assert peak < 2**20
         assert not list((tmp_path / "o").glob("*.tsv"))
 
+    # rpa-demo holds rpa.SOLVE_ARRAYS n x n arrays at once: 6 * 8 * n**2 bytes
+    # fit the cap up to n = 1672.
+    @pytest.mark.parametrize("args", [["--n", "1673"], ["--amplitudes", ",".join(["1"] * 1673)]],
+                             ids=["n", "amplitudes"])
+    def test_rpa_demo_counts_every_n_by_n_array(self, tmp_path, capsys, args):
+        assert rpa.SOLVE_ARRAYS == 6
+        what = "--n 1673" if args[0] == "--n" else "--amplitudes of 1673 values"
+        tracemalloc.start()
+        try:
+            rc = main(["rpa-demo", *args, "--out-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "data",
+            "message": f"{what} needs 6 22,391,432-byte arrays at once, "
+                       "above the 134,217,728-byte cap"}
+        assert peak < 2**20
+        assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
+        # n = 1672 passes the same check; it is not run, since its solve would
+        # hold about 134 MB.
+        cli._check_array_bytes(8 * 1672**2, "--n 1672", rpa.SOLVE_ARRAYS)
+
+    def test_rpa_demo_limit_is_exact(self, tmp_path, monkeypatch):
+        # With a cap of six 10 x 10 arrays, n = 10 runs and n = 11 does not.
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", rpa.SOLVE_ARRAYS * 8 * 10**2)
+        assert main(["rpa-demo", "--n", "10", "--out-dir", str(tmp_path / "ten")]) == 0
+        assert main(["rpa-demo", "--n", "11", "--out-dir", str(tmp_path / "eleven")]) == 2
+        assert main(["rpa-demo", "--amplitudes", ",".join(["1"] * 11),
+                     "--out-dir", str(tmp_path / "eleven")]) == 2
+
     def test_defaults_and_bench_grids_sit_far_below_the_cap(self, tmp_path, monkeypatch):
         # A 500-point series with the default grids (as in acceptance criterion 5)
         # and the benchmark's |cos| grid still pass with a cap 100 times smaller.
@@ -911,6 +944,20 @@ class TestBoundaryOptions:
         assert record["error"] == "usage"
         assert record["message"].startswith(f"config file {path}: 'utf-8' codec can't decode")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(("target", "fault"), [
+        ("taken", "cannot create directory '{target}': File exists"),
+        ("taken/sub", "cannot create directory '{target}': Not a directory"),
+    ], ids=["is-a-file", "under-a-file"])
+    def test_out_dir_must_be_a_directory(self, tmp_path, capsys, target, fault):
+        (tmp_path / "taken").write_text("kept\n")
+        target = str(tmp_path / target)
+        rc = main(["weierstrass-eval", "--out-dir", target])
+        assert rc == 1
+        (record,) = usage_records(capsys.readouterr().err)
+        assert record == {"error": "usage",
+                          "message": "Invalid value for '--out-dir': " + fault.format(target=target)}
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 class TestManifestCounts:

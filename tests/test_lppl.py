@@ -257,6 +257,46 @@ class TestFitConfigGrids:
             FitConfig(**grids)
 
 
+class TestCosSin:
+    """The grid stage's tan(theta / 2) basis agrees with np.cos and np.sin."""
+
+    # One ulp of 1 beyond the measured worst case leaves room for a libm tan.
+    BOUND = 2 * np.spacing(1.0)
+
+    @staticmethod
+    def cos_sin(theta):
+        theta = np.array(theta, dtype=float)
+        cos_out, sin_out = np.empty_like(theta), np.empty_like(theta)
+        lppl._cos_sin(theta.copy(), cos_out, sin_out)
+        return cos_out, sin_out
+
+    @given(st.lists(st.one_of(
+        st.floats(-1e5, 1e5),
+        # Within 1e-6 of k*pi/2 (k*pi for even k), where cos or sin crosses zero
+        # and tan(theta / 2) is 0, +-1 or unbounded.
+        st.builds(lambda k, d: k * (math.pi / 2) + d,
+                  st.integers(-63_000, 63_000), st.floats(-1e-6, 1e-6)),
+        st.sampled_from([0.0, -0.0]),
+    ), min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_matches_libm_within_two_ulps_of_one(self, theta):
+        cos_out, sin_out = self.cos_sin(theta)
+        assert np.max(np.abs(cos_out - np.cos(theta))) <= self.BOUND
+        assert np.max(np.abs(sin_out - np.sin(theta))) <= self.BOUND
+
+    def test_signed_zero(self):
+        cos_out, sin_out = self.cos_sin([0.0, -0.0])
+        assert cos_out.tolist() == [1.0, 1.0]
+        assert sin_out.tolist() == [0.0, 0.0]
+        assert np.signbit(sin_out).tolist() == [False, True]
+
+    def test_non_finite_angles_give_nan(self):
+        # np.tan(+-inf) flags an invalid operation, as np.cos(+-inf) does.
+        with np.errstate(invalid="ignore"):
+            cos_out, sin_out = self.cos_sin([math.nan, math.inf, -math.inf])
+        assert np.isnan(cos_out).all() and np.isnan(sin_out).all()
+
+
 class TestGridStage:
     """The batched grid stage picks the node a node-by-node search picks."""
 

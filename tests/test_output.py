@@ -13,10 +13,11 @@ from collectivity.output import (
     read_spectrum_trace,
     write_matrix_metadata,
     write_matrix_tsv,
+    write_global_trace,
     write_panel_tsv,
     write_spectrum_trace,
 )
-from collectivity.spectral import spectrum_trace
+from collectivity.spectral import collectivity_metrics, spectrum_trace
 from collectivity.synthetic import lagged_copy_markets, random_panel
 
 
@@ -74,6 +75,25 @@ class TestTraceFiles:
         assert len(sets) == len(trace)
         for loaded, values in zip(sets, trace.eigenvalues):
             assert np.array_equal(loaded, values)
+
+    def test_global_trace_puts_the_metrics_before_the_eigenvalues(self, tmp_path):
+        panel = random_panel(4, 40, 4)
+        trace = spectrum_trace(rolling_correlation(panel, 30))
+        metrics = collectivity_metrics(trace)
+        path = tmp_path / "global_trace.tsv"
+        write_global_trace(path, trace, metrics)
+        header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+        assert header == ["window_end_date", "gap_ratio", "dominance", "participation_ratio",
+                          "lambda_1", "lambda_2", "lambda_3", "lambda_4"]
+        assert len(rows) == len(trace)
+        for row, end, gap, values in zip(rows, trace.window_ends, metrics.gap_ratio,
+                                         trace.eigenvalues):
+            assert row[0] == end.isoformat()
+            assert row[1] == repr(float(gap))
+            assert row[4:] == [repr(v) for v in values.tolist()]
+        # A global trace is not a spectrum trace.
+        with pytest.raises(DataError, match="column 2 is 'gap_ratio', expected 'lambda_1'"):
+            read_spectrum_trace(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"
