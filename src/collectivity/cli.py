@@ -456,8 +456,8 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
 def spacing_stats(out, input_path, drop_top, degree, bins):
     """Unfolded nearest-neighbor spacing histogram with Wigner/Poisson KS distances."""
     _check_array_bytes(8 * (bins + 1), f"--bins {bins}")
-    sets = output.read_spectrum_trace(input_path)
-    stats = spectral.spacing_statistics(sets, drop_top=drop_top, degree=degree, bins=bins)
+    table = output.read_spectrum_trace(input_path)
+    stats = spectral.spacing_statistics(table, drop_top=drop_top, degree=degree, bins=bins)
     output.write_tsv(
         out / "spacing_hist.tsv",
         ["s_lower", "s_upper", "density"],

@@ -79,18 +79,22 @@ def _correlation_stack(
 ) -> tuple[np.ndarray, DataError | None]:
     """Correlation entries of a (k, N, T) stack of return windows, one batched matmul.
 
-    The stack stops at the first window holding a zero-volatility series:
-    the entries returned are those of the windows before it, with the error
-    naming that series and its window (window_of(j) is the WindowInfo of
-    window j), else None. The caller raises the error once it is done with
-    the earlier windows, so their failures come first.
+    The stack stops at the first window holding a zero-volatility series
+    (its T returns all equal): the entries returned are those of the
+    windows before it, with the error naming that series and its window
+    (window_of(j) is the WindowInfo of window j), else None. The caller
+    raises the error once it is done with the earlier windows, so their
+    failures come first.
     """
     centered = blocks - blocks.mean(axis=2, keepdims=True)
     norms = np.sqrt(np.einsum("kij,kij->ki", centered, centered))
     error = None
-    flat = np.argwhere(norms == 0.0)  # row-major: window order, then asset order
-    if len(flat):
-        j, asset = flat[0]
+    # Centring leaves a row of T equal returns x at most about T^1.5 eps/2 |x|
+    # of rounding, so only rows within twice that take the exact test.
+    tiny = np.argwhere(norms <= blocks.shape[2] ** 1.5 * np.finfo(float).eps * abs(blocks[..., 0]))
+    flat = next(((j, a) for j, a in tiny if blocks[j, a].max() == blocks[j, a].min()), None)
+    if flat is not None:  # argwhere is row-major: window order, then asset order
+        j, asset = flat
         window = window_of(int(j))
         error = DataError(
             f"zero volatility for {assets[asset]} in window "

@@ -12,8 +12,10 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import json
+import math
 import os
 import platform
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,7 +31,7 @@ from .spectral import CollectivityMetrics, RollingSpectrumTrace
 
 
 def format_cell(value) -> str:
-    # Floats first: they are nearly every cell of a trace. np.float64 is a float.
+    # Floats first: most cells of a mixed table are floats. np.float64 is a float.
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, str):
@@ -48,6 +50,20 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(map(format_cell, row)) + "\n")
+
+
+def write_rows(path: str | Path, header: Sequence[str], labels: Sequence,
+               table: np.ndarray) -> None:
+    """Per label (a date or an id), the label and that row of a float table.
+
+    write_tsv's bytes without its per-cell dispatch: the label goes through
+    format_cell, the row through repr of its Python floats. Rows are
+    converted one at a time; a whole (2,381, 100) table would hold about 7 MB.
+    """
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        for label, row in zip(labels, table, strict=True):
+            fh.write(format_cell(label) + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def write_json(path: str | Path, record: dict) -> None:
@@ -76,16 +92,12 @@ def run_manifest(subcommand: str, config: dict, seed: int | None, outputs: list[
 
 def write_panel_tsv(path: str | Path, panel: ReturnPanel) -> None:
     """Return panel as dates-by-assets table."""
-    header = ["date"] + list(panel.assets)
-    rows = ([panel.dates[t]] + list(panel.returns[:, t]) for t in range(panel.n_dates))
-    write_tsv(path, header, rows)
+    write_rows(path, ["date"] + list(panel.assets), panel.dates, panel.returns.T)
 
 
 def write_matrix_tsv(path: str | Path, matrix: CorrelationMatrix) -> None:
     """Correlation matrix with asset-id header row and column."""
-    header = ["asset"] + list(matrix.assets)
-    rows = ([asset] + list(matrix.entries[i]) for i, asset in enumerate(matrix.assets))
-    write_tsv(path, header, rows)
+    write_rows(path, ["asset"] + list(matrix.assets), matrix.assets, matrix.entries)
 
 
 def write_matrix_metadata(path: str | Path, matrix: CorrelationMatrix) -> None:
@@ -101,22 +113,9 @@ def write_matrix_metadata(path: str | Path, matrix: CorrelationMatrix) -> None:
     )
 
 
-def write_dated_rows(path: str | Path, header: Sequence[str], dates: Sequence[dt.date],
-                     table: np.ndarray) -> None:
-    """Per date, the date and that row of a float table: write_tsv's bytes, without its dispatch.
-
-    Rows become Python floats one at a time; a whole (2,381, 100) table would hold about 7 MB.
-    """
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for date, row in zip(dates, table, strict=True):
-            fh.write(date.isoformat() + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
-
-
 def write_spectrum_trace(path: str | Path, trace: RollingSpectrumTrace) -> None:
     """Columns: window_end_date, lambda_1 ... lambda_N (descending)."""
-    write_dated_rows(path, _trace_header(trace.eigenvalues.shape[1]), trace.window_ends,
-                     trace.eigenvalues)
+    write_rows(path, _trace_header(trace.eigenvalues.shape[1]), trace.window_ends, trace.eigenvalues)
 
 
 def write_global_trace(path: str | Path, trace: RollingSpectrumTrace,
@@ -127,7 +126,7 @@ def write_global_trace(path: str | Path, trace: RollingSpectrumTrace,
                              trace.eigenvalues])
     header = _trace_header(trace.eigenvalues.shape[1],
                            ["gap_ratio", "dominance", "participation_ratio"])
-    write_dated_rows(path, header, trace.window_ends, table)
+    write_rows(path, header, trace.window_ends, table)
 
 
 def _trace_header(n: int, metric_columns: Sequence[str] = ()) -> list[str]:
@@ -135,14 +134,15 @@ def _trace_header(n: int, metric_columns: Sequence[str] = ()) -> list[str]:
     return ["window_end_date", *metric_columns] + [f"lambda_{i + 1}" for i in range(n)]
 
 
-def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
-    """Eigenvalue rows of a spectrum trace file (inverse of write_spectrum_trace).
+def read_spectrum_trace(path: str | Path) -> np.ndarray:
+    """The (windows, N) eigenvalue table of a spectrum trace file (inverse of write_spectrum_trace).
 
     The header must be exactly window_end_date, lambda_1 ... lambda_N, and
     window end dates ISO dates, strictly increasing as in a
-    RollingSpectrumTrace.
+    RollingSpectrumTrace. A fault names the earliest faulty line. The cells
+    are parsed by float() into one flat buffer, which becomes the table.
     """
-    sets = []
+    values = array("d")
     prev_end = None
     with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -163,20 +163,20 @@ def read_spectrum_trace(path: str | Path) -> list[np.ndarray]:
                 raise DataError(f"{path}:{lineno}: window ends not strictly increasing at {end}")
             prev_end = end
             try:
-                row = np.array([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparseable eigenvalue row") from None
-            if not np.isfinite(row).all():
+            # A non-finite value makes the sum non-finite; so can an overflow.
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
                 raise DataError(f"{path}:{lineno}: non-finite eigenvalue")
-            sets.append(row)
-    if not sets:
+            values.extend(row)
+    if not values:
         raise DataError(f"{path}: no eigenvalue rows")
-    return sets
+    return np.frombuffer(values).reshape(-1, len(header) - 1)
 
 
 def write_leading_vectors(path: str | Path, trace: RollingSpectrumTrace, assets: Sequence[str]) -> None:
-    write_dated_rows(path, ["window_end_date"] + list(assets), trace.window_ends,
-                     trace.leading_vectors)
+    write_rows(path, ["window_end_date"] + list(assets), trace.window_ends, trace.leading_vectors)
 
 
 def fit_record(result: LpplFitResult, origin: dt.date | None = None) -> dict:

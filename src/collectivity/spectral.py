@@ -20,7 +20,6 @@ the Poisson exponential exp(-s).
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from .resources import pool_map, pool_workers
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MIN_BULK_COUNT = 100
-# Bytes of entries per stacked call in rolling_spectrum and spacing_statistics.
+# Bytes of entries per stacked call in rolling_spectrum and unfold_spacings.
 CHUNK_BYTES = 512 * 1024
 # np.polyfit's warning: np.exceptions.RankWarning from numpy 2.0, np.RankWarning before.
 RankWarning = getattr(np.exceptions, "RankWarning", None) or np.RankWarning
@@ -324,17 +323,20 @@ def unfold_spacings(eigenvalues: np.ndarray, degree: int = 5) -> np.ndarray:
     sections of the fit yield non-positive spacings, which are discarded.
 
     eigenvalues may also be a (k, n) stack, one set per row; a 1-D input is
-    a stack of one. The rows are fitted by one stacked least-squares solve
-    and their spacings returned row by row. A row of zero range adds none.
+    a stack of one. The rows are fitted by stacked least-squares solves, in
+    chunks of at most CHUNK_BYTES of Vandermonde entries (or one row), and
+    their spacings returned row by row. A row of zero range adds none.
     The solve follows numpy's polynomial least-squares fit: Vandermonde
     columns scaled to unit norm, singular values <= n * eps * s_max counted
-    as zero, and a RankWarning when a row's fit is rank deficient.
+    as zero, and one RankWarning when any row's fit is rank deficient.
     """
     return _unfold(eigenvalues, degree)[0]
 
 
 def _unfold(eigenvalues, degree):
-    """unfold_spacings, and the number of rows whose fit was rank deficient."""
+    """unfold_spacings, and the number of rows whose fit was rank deficient.
+
+    One chunk's (rows, n, degree + 1) Vandermonde stack is alive at a time."""
     stack = np.asarray(eigenvalues, dtype=float)
     if stack.ndim not in (1, 2):
         raise DataError(f"expected an eigenvalue set or a stack of them, got shape {stack.shape}")
@@ -343,30 +345,33 @@ def _unfold(eigenvalues, degree):
         raise DataError(f"{n} eigenvalues cannot support a degree-{degree} unfolding")
     ev = np.sort(stack.reshape(-1, n), axis=1)
     ev = ev[ev[:, -1] - ev[:, 0] > 0]
-    if not len(ev):
-        return np.empty(0), 0
-    # (k, n, degree + 1) Vandermonde stack, columns 1, x, ..., x**degree.
-    vander = np.empty(ev.shape + (degree + 1,))
-    vander[..., 0] = 1.0
-    vander[..., 1] = ev
-    for j in range(2, degree + 1):
-        np.multiply(vander[..., j - 1], ev, out=vander[..., j])
-    scale = np.sqrt(np.einsum("kij,kij->kj", vander, vander))
-    scale[scale == 0] = 1.0
-    vander /= scale[:, None, :]
-    u, s, vt = np.linalg.svd(vander, full_matrices=False)
-    kept = s > n * np.finfo(float).eps * s[:, :1]
-    rank_deficient = int(np.sum(~kept.all(axis=1)))
+    diffs = np.empty((len(ev), n - 1))
+    staircase = np.arange(1, n + 1) - 0.5
+    rows = max(1, CHUNK_BYTES // (n * (degree + 1) * 8))
+    rank_deficient = 0
+    for start in range(0, len(ev), rows):
+        chunk = ev[start : start + rows]
+        # (rows, n, degree + 1) Vandermonde stack, columns 1, x, ..., x**degree.
+        vander = np.empty(chunk.shape + (degree + 1,))
+        vander[..., 0] = 1.0
+        vander[..., 1] = chunk
+        for j in range(2, degree + 1):
+            np.multiply(vander[..., j - 1], chunk, out=vander[..., j])
+        scale = np.sqrt(np.einsum("kij,kij->kj", vander, vander))
+        scale[scale == 0] = 1.0
+        vander /= scale[:, None, :]
+        u, s, vt = np.linalg.svd(vander, full_matrices=False)
+        kept = s > n * np.finfo(float).eps * s[:, :1]
+        rank_deficient += int(np.sum(~kept.all(axis=1)))
+        projected = np.divide(staircase @ u, s, out=np.zeros_like(s), where=kept)
+        coeffs = np.matmul(projected[:, None, :], vt)[:, 0] / scale
+        smoothed = np.broadcast_to(coeffs[:, -1:], chunk.shape)
+        for j in range(degree - 1, -1, -1):
+            smoothed = coeffs[:, j : j + 1] + smoothed * chunk
+        np.subtract(smoothed[:, 1:], smoothed[:, :-1], out=diffs[start : start + rows])
     if rank_deficient:
         warnings.warn("The fit may be poorly conditioned", RankWarning, stacklevel=3)
-    staircase = np.arange(1, n + 1) - 0.5
-    projected = np.divide(staircase @ u, s, out=np.zeros_like(s), where=kept)
-    coeffs = np.matmul(projected[:, None, :], vt)[:, 0] / scale
-    smoothed = np.broadcast_to(coeffs[:, -1:], ev.shape)
-    for j in range(degree - 1, -1, -1):
-        smoothed = coeffs[:, j : j + 1] + smoothed * ev
-    spacings = np.diff(smoothed, axis=1)
-    return spacings[spacings > 0], rank_deficient
+    return diffs[diffs > 0], rank_deficient
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:
@@ -382,52 +387,42 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
 
 
 def spacing_statistics(
-    sets: Iterable[np.ndarray],
+    eigenvalues: np.ndarray,
     drop_top: int = 1,
     degree: int = 5,
     bins: int = 32,
 ) -> SpacingStatistics:
     """Pooled unfolded spacing histogram with KS distances to Wigner and Poisson laws.
 
-    sets is an iterable of eigenvalue arrays, for example one per window.
-    The top drop_top eigenvalues of each set (the collective modes) are
-    excluded before unfolding; each set is unfolded separately and the
-    spacings are pooled in set order, then rescaled to mean 1. Consecutive
-    sets of one length are sorted and unfolded together, in chunks of at
-    most CHUNK_BYTES of Vandermonde entries (or one set). n_rank_deficient
-    counts the sets whose unfolding fit was rank deficient; unfold_spacings
-    also warns of them with a RankWarning.
+    eigenvalues is a (sets, n) table, one eigenvalue set per row, for
+    example one per window of a trace. The top drop_top eigenvalues of each
+    set (the collective modes) are excluded before unfolding; each set is
+    unfolded separately (one unfold_spacings call on the whole bulk) and
+    the spacings are pooled in set order, then rescaled to mean 1.
+    n_rank_deficient counts the sets whose unfolding fit was rank
+    deficient; the unfolding also warns of them with a RankWarning.
     """
     for name, value, least in (("drop_top", drop_top, 0), ("degree", degree, 1), ("bins", bins, 1)):
         if value < least:
             raise DataError(f"{name} must be >= {least}, got {value}")
-    arrays = [np.asarray(ev, dtype=float) for ev in sets]
-    for i, ev in enumerate(arrays):
-        if not np.isfinite(ev).all():
-            raise DataError(f"eigenvalue set {i} has a non-finite eigenvalue")
-    arrays = [ev for ev in arrays if len(ev) - drop_top >= 2]
-    total = sum(len(ev) - drop_top for ev in arrays)
+    try:
+        table = np.asarray(eigenvalues, dtype=float)
+    except (TypeError, ValueError) as exc:   # ragged sets, or not a table at all
+        raise DataError(f"expected a (sets, n) table of eigenvalues: {exc}") from None
+    if table.ndim != 2:
+        raise DataError(f"expected a (sets, n) table of eigenvalues, got shape {table.shape}")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DataError(f"eigenvalue set {int(np.argmin(finite))} has a non-finite eigenvalue")
+    sets, n = len(table), table.shape[1] - drop_top
+    total = sets * n if n >= 2 else 0
     if total < MIN_BULK_COUNT:
         raise DataError(f"pooled bulk has {total} eigenvalues, need >= {MIN_BULK_COUNT}")
 
-    pooled = []
-    dropped = rank_deficient = 0
-    for length, run in itertools.groupby(arrays, key=len):
-        n = length - drop_top
-        run = list(run)
-        if n < degree + 2:
-            dropped += len(run) * (n - 1)
-            continue
-        rows = max(1, CHUNK_BYTES // (n * (degree + 1) * 8))
-        for start in range(0, len(run), rows):
-            chunk = run[start : start + rows]
-            spacings, chunk_deficient = _unfold(np.sort(np.stack(chunk), axis=1)[:, :n], degree)
-            dropped += len(chunk) * (n - 1) - len(spacings)
-            rank_deficient += chunk_deficient
-            pooled.append(spacings)
-    if not pooled or sum(len(p) for p in pooled) == 0:
+    if n >= degree + 2:
+        spacings, rank_deficient = _unfold(np.sort(table, axis=1)[:, :n], degree)
+    if n < degree + 2 or not len(spacings):
         raise DataError("no usable spacings after unfolding")
-    spacings = np.concatenate(pooled)
     spacings = spacings / spacings.mean()
 
     edges = np.linspace(0.0, float(spacings.max()), bins + 1)
@@ -438,7 +433,7 @@ def spacing_statistics(
         densities=densities,
         ks_wigner=ks_distance(spacings, wigner_cdf),
         ks_poisson=ks_distance(spacings, poisson_cdf),
-        n_sets=len(arrays),
-        n_dropped=dropped,
+        n_sets=sets,
+        n_dropped=sets * (n - 1) - len(spacings),
         n_rank_deficient=rank_deficient,
     )

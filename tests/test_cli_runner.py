@@ -2,6 +2,10 @@
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from collectivity import lppl, resources, synthetic
 from collectivity.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SUBCOMMANDS = ["returns", "corr", "spectrum", "global-spectrum", "lppl-fit", "extrema",
                "weierstrass-eval", "weierstrass-walk", "rpa-demo", "spacing-stats"]
 
@@ -115,3 +120,24 @@ def test_manifest_window_count_matches_the_trace_rows(name, trace, invocations, 
     manifest_name = name.replace("-", "_") + "_manifest.json"
     manifest = json.loads((tmp_path / manifest_name).read_text())
     assert manifest["config"]["windows"] == data_rows(tmp_path / trace) > 1
+
+
+@pytest.mark.parametrize(("args", "code", "kind"), [
+    (["spectrum", "--no-such-option"], 1, "usage"),
+    (["spacing-stats", "--input", "{not_a_trace}"], 2, "data"),
+], ids=["usage", "data"])
+def test_a_process_exits_with_the_documented_code(tmp_path, args, code, kind):
+    # What `sys.exit(main())` hands a shell, through `python -m collectivity.cli`.
+    not_a_trace = tmp_path / "prices.csv"
+    not_a_trace.write_text("date,asset,price\n2020-01-01,A,1.0\n")
+    argv = [a.format(not_a_trace=not_a_trace) for a in args] + ["--out-dir", str(tmp_path / "o")]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "collectivity.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    record = json.loads(done.stderr.splitlines()[-1])
+    assert record["error"] == kind
+    if kind == "data":
+        assert record["message"] == (f"{not_a_trace}: not a spectrum trace file: column 1 is "
+                                     "'date,asset,price', expected 'window_end_date'")

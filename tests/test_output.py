@@ -95,6 +95,31 @@ class TestTraceFiles:
         with pytest.raises(DataError, match="column 2 is 'gap_ratio', expected 'lambda_1'"):
             read_spectrum_trace(path)
 
+    def test_reader_returns_one_windows_by_n_table(self, tmp_path):
+        trace = spectrum_trace(rolling_correlation(random_panel(4, 40, 4), 30))
+        path = tmp_path / "trace.tsv"
+        write_spectrum_trace(path, trace)
+        table = read_spectrum_trace(path)
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64
+        assert table.shape == trace.eigenvalues.shape == (11, 4)
+        assert table.tobytes() == trace.eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("line5", [
+        "not-a-date\t1.0\t0.5\t0.25",
+        "2020-01-02\t1.0\t0.5\t0.25",
+        "2020-01-05\t1.0\t0.5",
+        "2020-01-05\t1.0\tx\t0.25",
+        "2020-01-05\t1.0\tinf\t0.25",
+    ], ids=["bad-date", "not-increasing", "short-row", "unparseable", "non-finite"])
+    def test_a_non_finite_value_beats_a_later_fault(self, tmp_path, line5):
+        rows = ["2020-01-01\t1.0\t0.5\t0.25", "2020-01-02\t1.0\tnan\t0.25",
+                "2020-01-03\t1.0\t0.5\t0.25", line5, "2020-01-06\t1.0\t0.5\t0.25"]
+        path = tmp_path / "trace.tsv"
+        path.write_text("window_end_date\tlambda_1\tlambda_2\tlambda_3\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError) as err:
+            read_spectrum_trace(path)
+        assert str(err.value) == f"{path}:3: non-finite eigenvalue"
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("not\ta\ttrace\n")

@@ -121,10 +121,12 @@ class TestErrorsInWindowOrder:
     def panel(self, windows):
         return one_factor_panel(self.N, self.WINDOW + windows - 1, 0.3, seed=4)
 
-    def test_zero_volatility_window_in_the_second_chunk(self, mode):
+    # A constant of 0.1 leaves rounding residue after its mean is subtracted.
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_zero_volatility_window_in_the_second_chunk(self, mode, value):
         per_chunk = windows_per_chunk(self.N)
         flat = per_chunk + 3
-        panel = with_hole(self.panel(3 * per_chunk), 7, flat, self.WINDOW, 0.0)
+        panel = with_hole(self.panel(3 * per_chunk), 7, flat, self.WINDOW, value)
         start, end = panel.dates[flat], panel.dates[flat + self.WINDOW - 1]
         want = (DataError, f"zero volatility for {panel.assets[7]} in window "
                            f"[{start}, {end}]: correlation undefined")

@@ -1,7 +1,9 @@
 import datetime as dt
 import math
 import os
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +423,18 @@ class TestSpacingStatistics:
         with pytest.raises(DataError, match="eigenvalue set 2 has a non-finite eigenvalue"):
             spacing_statistics(sets, drop_top=0)
 
+    @pytest.mark.parametrize("shape", [(400,), (2, 3, 100)])
+    def test_rejects_inputs_that_are_not_tables(self, shape):
+        with pytest.raises(DataError, match=re.escape(
+                f"expected a (sets, n) table of eigenvalues, got shape {shape}")):
+            spacing_statistics(np.ones(shape))
+
+    def test_rejects_ragged_sets(self):
+        sets = self.goe_eigenvalue_sets(count=3)
+        sets[1] = sets[1][:-1]
+        with pytest.raises(DataError, match=r"^expected a \(sets, n\) table of eigenvalues: "):
+            spacing_statistics(sets)
+
     def test_unfolded_spacings_have_unit_mean(self):
         spacings = unfold_spacings(np.linalg.eigvalsh(goe_matrix(200, 3)))
         assert np.mean(spacings) == pytest.approx(1.0, rel=0.05)
@@ -493,15 +507,6 @@ class TestUnfoldSpacings:
             sets.append(1000.0 * (ev - ev[0]) / (ev[-1] - ev[0]))
         self.assert_matches_reference(sets, drop_top=0)
 
-    def test_mixed_lengths_pool_in_set_order(self):
-        rng = np.random.default_rng(5)
-        lengths = [40, 40, 25, 40, 3, 25, 25, 6, 40, 1, 0, 30]
-        sets = [np.sort(rng.uniform(0.0, 3.0, n)) for n in lengths]
-        stats = self.assert_matches_reference(sets)
-        # The sets of 1 and 0 values keep fewer than two after the drop; those
-        # of 3 and 6 are too short for a degree-5 fit and are dropped whole.
-        assert stats.n_sets == 10
-
     def test_zero_range_set_adds_no_spacings(self):
         rng = np.random.default_rng(6)
         sets = [rng.uniform(0.0, 1.0, 50), np.full(50, 0.7), rng.uniform(0.0, 1.0, 50)]
@@ -519,6 +524,25 @@ class TestUnfoldSpacings:
         rng = np.random.default_rng(7)
         sets = [rng.uniform(0.0, 2.0, n + 1) for _ in range(count)]
         self.assert_matches_reference(sets, degree=degree)
+
+    def test_rows_are_fitted_in_chunks_with_one_warning(self, monkeypatch):
+        n, degree = 31, 5
+        rows = spectral.CHUNK_BYTES // (n * (degree + 1) * 8)
+        stack = np.random.default_rng(8).uniform(0.0, 2.0, (2 * rows + 3, n))
+        # Three distinct values cannot pin down six coefficients: rank deficient
+        # rows in the first and the last chunk.
+        stack[[0, -1]] = np.resize([0.1, 0.5, 0.9], n)
+        svd, sizes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sizes.append(len(a)) or svd(a, **kw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spacings = unfold_spacings(stack, degree)
+        assert sizes == [rows, rows, 3]
+        assert [w.category for w in caught] == [spectral.RankWarning]
+        monkeypatch.undo()
+        with pytest.warns(spectral.RankWarning):
+            by_row = np.concatenate([unfold_spacings(row, degree) for row in stack])
+        np.testing.assert_allclose(spacings, by_row, rtol=1e-12)
 
     def test_one_set_is_a_stack_of_one(self):
         ev = np.linalg.eigvalsh(goe_matrix(50, 9))
