@@ -79,28 +79,39 @@ def _correlation_stack(
 ) -> tuple[np.ndarray, DataError | None]:
     """Correlation entries of a (k, N, T) stack of return windows, one batched matmul.
 
-    The stack stops at the first window holding a zero-volatility series
-    (its T returns all equal): the entries returned are those of the
-    windows before it, with the error naming that series and its window
+    The stack stops at the first window holding a series whose correlation
+    is undefined: a zero-volatility series (its T returns all equal), or
+    finite returns whose centred sum of squares overflows (a root-mean-square
+    deviation above about 1.3e154 / sqrt(T)). The entries returned are those
+    of the windows before it, with the error naming that series and its window
     (window_of(j) is the WindowInfo of window j), else None. The caller
     raises the error once it is done with the earlier windows, so their
-    failures come first.
+    failures come first. A finite sum of squares bounds every entry of a
+    window's matmul (Cauchy-Schwarz), so the windows kept do not overflow.
+    A non-finite return is left to the decomposition's finiteness check.
     """
-    centered = blocks - blocks.mean(axis=2, keepdims=True)
-    norms = np.sqrt(np.einsum("kij,kij->ki", centered, centered))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = blocks - blocks.mean(axis=2, keepdims=True)
+        norms = np.sqrt(np.einsum("kij,kij->ki", centered, centered))
     error = None
     # Centring leaves a row of T equal returns x at most about T^1.5 eps/2 |x|
     # of rounding, so only rows within twice that take the exact test.
-    tiny = np.argwhere(norms <= blocks.shape[2] ** 1.5 * np.finfo(float).eps * abs(blocks[..., 0]))
-    flat = next(((j, a) for j, a in tiny if blocks[j, a].max() == blocks[j, a].min()), None)
-    if flat is not None:  # argwhere is row-major: window order, then asset order
-        j, asset = flat
+    tiny = norms <= blocks.shape[2] ** 1.5 * np.finfo(float).eps * abs(blocks[..., 0])
+    for j, asset in np.argwhere(tiny | ~np.isfinite(norms)):  # window order, then asset order
+        series = blocks[j, asset]
+        if not np.isfinite(series).all():
+            continue
+        if series.max() == series.min():
+            fault = "zero volatility for {} in window [{}, {}]: correlation undefined"
+        elif not np.isfinite(norms[j, asset]):
+            fault = ("returns of {} overflow in window [{}, {}]: "
+                     "centred sum of squares is not finite")
+        else:
+            continue
         window = window_of(int(j))
-        error = DataError(
-            f"zero volatility for {assets[asset]} in window "
-            f"[{window.start}, {window.end}]: correlation undefined"
-        )
+        error = DataError(fault.format(assets[asset], window.start, window.end))
         centered, norms = centered[:j], norms[:j]
+        break
     entries = np.matmul(centered, centered.transpose(0, 2, 1))
     entries /= norms[:, :, None] * norms[:, None, :]
     entries = 0.5 * (entries + entries.transpose(0, 2, 1))

@@ -254,7 +254,12 @@ def _node_solve(x: np.ndarray, y: np.ndarray, lam: float, alpha: float,
     return sse, a, b, phi_out
 
 
-def _ldl_projection(gram, rhs, y_sq, last_nonnegative):
+def _ldl_scratch(size, shape):
+    """Work buffers of _ldl_projection for size x size Gram matrices over node shape `shape`."""
+    return np.empty((3 + size * (size + 1) // 2,) + tuple(shape))
+
+
+def _ldl_projection(gram, rhs, y_sq, last_nonnegative, scratch, flag):
     """Residual of projecting y onto a batch of bases, and their normalized Gram determinants.
 
     gram[j][k] (k <= j) and rhs[j] hold the lower triangle of each node's Gram
@@ -267,29 +272,58 @@ def _ldl_projection(gram, rhs, y_sq, last_nonnegative):
     z_last < 0 (every d_k > 0 on a node that passes the degeneracy test) gets
     the boundary SSE with that amplitude pinned at 0: the residual before the
     last pivot. Returns (sse, normalized determinant).
+
+    Every intermediate is written with out= into scratch, made by
+    _ldl_scratch(size, node shape), and the node-shaped bool array flag, so a
+    call allocates no node-shaped array; the first pivot reads the inputs and
+    writes each reduced entry to a slot of its own, and the results are views
+    into scratch. Each value takes the same elementary operations in the same
+    order as an allocating loop would (a - l*b is a multiply, then a
+    subtract), so the buffering moves no bit: tests/test_lppl.py keeps that
+    loop as the oracle. The running determinant starts at d_0 / G_00 rather
+    than 1.0 times it, which is the same value.
     """
     size = len(rhs)
-    schur = [list(row) for row in gram]   # reduced in place to the trailing Schur complements
+    det, sse_slot, tmp, mult, *slots = scratch
+    slots = iter(slots)
+    schur = [list(row) for row in gram]   # reduced to the trailing Schur complements
     z = list(rhs)
-    sse, det = y_sq, 1.0
+    sse = y_sq
     for k in range(size):
         d = schur[k][k]
-        det = det * (d / gram[k][k])
-        before = sse
-        sse = sse - z[k] * z[k] / d
+        if k == 0:
+            np.divide(d, gram[k][k], out=det)
+        else:
+            np.divide(d, gram[k][k], out=tmp)
+            np.multiply(det, tmp, out=det)
+        np.multiply(z[k], z[k], out=tmp)
+        np.divide(tmp, d, out=tmp)
+        if k == size - 1 and last_nonnegative:
+            before, sse = sse, np.subtract(sse, tmp, out=tmp)
+            np.copyto(sse, before, where=np.less(z[k], 0.0, out=flag))
+        else:
+            sse = np.subtract(sse, tmp, out=sse_slot)
+        # The first pivot reduces the inputs into slots of their own; later pivots update those.
         for j in range(k + 1, size):
-            l_jk = schur[j][k] / d
+            np.divide(schur[j][k], d, out=mult)
             for m in range(k + 1, j + 1):
-                schur[j][m] = schur[j][m] - l_jk * schur[m][k]
-            z[j] = z[j] - l_jk * z[k]
-    if last_nonnegative:
-        sse = np.where(z[-1] < 0.0, before, sse)
+                np.multiply(mult, schur[m][k], out=tmp)
+                out = next(slots) if k == 0 else schur[j][m]
+                schur[j][m] = np.subtract(schur[j][m], tmp, out=out)
+            np.multiply(mult, z[k], out=tmp)
+            out = next(slots) if k == 0 else z[j]
+            z[j] = np.subtract(z[j], tmp, out=out)
     return sse, det
 
 
 def _row_bytes(n_t, n_lam, n_phi, abs_cosine):
     """Bytes of one t_c row's buffers over n_lam lams: theta, then per phi the
-    oscillation columns and their product (for |cos|, also cos and sin of theta)."""
+    oscillation columns and their product (for |cos|, also cos and sin of theta).
+
+    This budget sizes the lam blocks and the row batches, and the block width
+    sets the last bits of every grid SSE, so it keeps the |cos| product slot
+    although _scan_rows now fills that slot in place, in the scan column
+    itself. The node-shaped buffers of the LDL^T tail are not counted."""
     n_osc = 1 if abs_cosine else 2
     return 8 * n_t * n_lam * (1 + n_phi * (n_osc + 1) + 2 * abs_cosine)
 
@@ -321,6 +355,15 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     row's arithmetic, a matrix product per row included, is the same as for a
     batch of one. Returns (best_sse, best_row, nodes skipped); each node keeps
     the first row that reaches its least SSE.
+
+    The row buffers that _row_bytes counts, the squared Gram entries (for
+    |cos| also the cross entries and right-hand sides), the LDL^T tail's
+    scratch and the node masks are allocated once per call, before the first
+    batch, and written with out=. For |cos|, the scan column holds
+    |cos(theta + phi)| until the cross and right-hand-side product has read
+    it, and then its square, so no second (lam*phi, T) array is made. A
+    batch of one row updates best_sse and best_row directly; a longer batch
+    takes min and argmin over its rows.
     """
     n_rows, n_t = logx.shape
     n_lam, n_alpha = len(omegas), len(alphas)
@@ -331,10 +374,15 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     # Work buffers shared by every batch; a short last batch uses their leading rows.
     theta = np.empty((batch, n_lam, n_t))
     basis = np.empty((batch, n_osc, n_cols, n_t))    # the oscillation columns
-    product = np.empty((batch, n_cols, n_t))
+    # The |cos| scan column is squared in place once the cross and right-hand-side
+    # product has read it; the cosine columns are all still read by later products.
+    product = basis[:, 0] if abs_cosine else np.empty((batch, n_cols, n_t))
     env = np.empty((batch, n_alpha, n_t))
     weights = np.empty((batch, 2 * n_alpha, n_t))
     squares = np.empty((batch, n_osc * (n_osc + 1) // 2, n_alpha, n_cols))
+    tail = _ldl_scratch(n_osc + 1, (batch, n_alpha, n_cols))
+    ok_buf = np.empty((batch, n_alpha, n_cols), dtype=bool)
+    flag_buf = np.empty_like(ok_buf)
     if abs_cosine:
         # cos(theta + phi) = cos(phi) cos(theta) - sin(phi) sin(theta): each phi's
         # column is a fixed rotation of (cos theta, sin theta).
@@ -383,20 +431,31 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
                 gram.append(gram_row)
                 rhs.append(right)
 
-        ok = np.ones((k,) + best_sse.shape, dtype=bool)
-        for entry in itertools.chain(*gram, rhs):
-            ok &= np.isfinite(entry)
+        ok, flag = ok_buf[:k], flag_buf[:k]
+        entries = itertools.chain(*gram, rhs)
+        np.isfinite(next(entries), out=ok)
+        for entry in entries:
+            ok &= np.isfinite(entry, out=flag)
         for m, gram_row in enumerate(gram):
-            ok &= gram_row[m] > 0.0
+            ok &= np.greater(gram_row[m], 0.0, out=flag)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine)
-        ok &= np.isfinite(det) & (det > DEGENERACY_TOL)
-        skipped += int(ok.size - ok.sum())
+            sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine, tail[:, :k], flag)
+        ok &= np.isfinite(det, out=flag)
+        ok &= np.greater(det, DEGENERACY_TOL, out=flag)
+        skipped += int(ok.size - np.count_nonzero(ok))
         if not ok.any():
             continue
 
-        # A NaN SSE never wins, as under a row-by-row strict <.
-        sse = np.where(ok & ~np.isnan(sse), sse, np.inf)
+        # Skipped nodes get an infinite SSE, and so do NaN SSEs, which never win,
+        # as under a row-by-row strict <.
+        blank = np.logical_not(ok, out=ok)
+        blank |= np.isnan(sse, out=flag)
+        np.copyto(sse, np.inf, where=blank)
+        if k == 1:
+            better = np.less(sse[0], best_sse, out=flag[0])
+            np.copyto(best_sse, sse[0], where=better)
+            best_row[better] = start
+            continue
         # argmin takes the first row of the batch that reaches the minimum, and the
         # strict < keeps an earlier batch's row on a tie.
         batch_sse = sse.min(axis=0)

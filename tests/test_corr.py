@@ -69,6 +69,17 @@ class TestCorrelationMatrix:
             correlation_matrix(panel_from_rows(rows))
         assert "2020-01-01" in str(err.value)
 
+    def test_overflowing_window_names_asset_and_window(self, rng):
+        # Correlation is scale-invariant, but squares of returns near 1e160
+        # overflow; RuntimeWarnings are errors in this suite.
+        rows = rng.normal(size=(3, 40)) * 1e160
+        panel = panel_from_rows(rows)
+        want = (f"returns of A0 overflow in window [{panel.dates[0]}, {panel.dates[-1]}]: "
+                "centred sum of squares is not finite")
+        with pytest.raises(DataError) as err:
+            correlation_matrix(panel)
+        assert str(err.value) == want
+
     def test_window_metadata(self):
         panel = panel_from_rows(np.random.default_rng(0).normal(size=(2, 10)))
         matrix = correlation_matrix(panel, (panel.dates[2], panel.dates[6]))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -643,6 +645,110 @@ class TestRowSlabs:
             assert (diag.grid_nodes, diag.nodes_skipped) == (dets.size, want_skipped)
             assert node == want_node
             assert grid_sse == pytest.approx(want_sse, rel=1e-8)
+
+
+def ldl_projection_oracle(gram, rhs, y_sq, last_nonnegative):
+    """The grid stage's LDL^T tail as an allocating loop over lists of entries."""
+    size = len(rhs)
+    schur = [list(row) for row in gram]
+    z = list(rhs)
+    sse, det = y_sq, 1.0
+    for k in range(size):
+        d = schur[k][k]
+        det = det * (d / gram[k][k])
+        before = sse
+        sse = sse - z[k] * z[k] / d
+        for j in range(k + 1, size):
+            l_jk = schur[j][k] / d
+            for m in range(k + 1, j + 1):
+                schur[j][m] = schur[j][m] - l_jk * schur[m][k]
+            z[j] = z[j] - l_jk * z[k]
+    if last_nonnegative:
+        sse = np.where(z[-1] < 0.0, before, sse)
+    return sse, det
+
+
+def assert_same_bits(got, want):
+    want = np.broadcast_to(want, got.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def ldl_inputs(draw):
+    """Gram entries and right-hand sides of a (k, alpha, cols) batch of nodes.
+
+    Small integer designs make exact zero Schur pivots common; scaled ones
+    reach overflow and underflow, and single entries are set to 0, NaN or
+    +-inf, diagonal (pivot) entries more often than the rest.
+    """
+    size = draw(st.sampled_from([2, 3]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_t = draw(st.integers(1, 4))
+    design = rng.integers(-1, 2, size=shape + (n_t, size)).astype(float)
+    if draw(st.booleans()):
+        design *= rng.uniform(0.5, 2.0, size=design.shape)
+    design *= draw(st.sampled_from([1.0, 1e-160, 1e160]))
+    y = rng.integers(-2, 3, size=shape + (n_t,)).astype(float)
+    gram_full = np.einsum("...ti,...tj->...ij", design, design)
+    rhs_full = np.einsum("...ti,...t->...i", design, y)
+    gram = [[gram_full[..., j, m].copy() for m in range(j + 1)] for j in range(size)]
+    rhs = [rhs_full[..., j].copy() for j in range(size)]
+    if draw(st.booleans()):
+        # The constant column's entries, broadcast over the node columns.
+        gram[0][0], rhs[0] = gram[0][0][..., :1].copy(), rhs[0][..., :1].copy()
+    pivots = [(j, j) for j in range(size)]
+    entries = (pivots + [(j, m) for j in range(size) for m in range(j)]
+               + [(j, None) for j in range(size)])
+    for _ in range(draw(st.integers(0, 4))):
+        j, m = draw(st.sampled_from(pivots) | st.sampled_from(entries))
+        target = rhs[j] if m is None else gram[j][m]
+        target.flat[draw(st.integers(0, target.size - 1))] = draw(st.sampled_from(SPECIAL_VALUES))
+    y_sq = float(draw(st.sampled_from([0.0, 1.0, 7.5, 1e300])))
+    return gram, rhs, y_sq, shape
+
+
+class TestLdlTail:
+    """The buffered LDL^T tail gives the bits of the allocating loop, and a |cos| row
+    holds one scan array."""
+
+    @given(inputs=ldl_inputs(), last_nonnegative=st.booleans())
+    @settings(max_examples=300)
+    def test_matches_the_allocating_loop_bit_for_bit(self, inputs, last_nonnegative):
+        gram, rhs, y_sq, shape = inputs
+        kept = [a.copy() for a in itertools.chain(*gram, rhs)]
+        scratch = lppl._ldl_scratch(len(rhs), shape)
+        scratch.fill(12.5)     # results must not depend on what the buffers held
+        flag = np.ones(shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            want_sse, want_det = ldl_projection_oracle(gram, rhs, y_sq, last_nonnegative)
+            sse, det = lppl._ldl_projection(gram, rhs, y_sq, last_nonnegative, scratch, flag)
+        assert sse.shape == det.shape == shape
+        assert_same_bits(sse, want_sse)
+        assert_same_bits(det, want_det)
+        for a, b in zip(itertools.chain(*gram, rhs), kept):
+            assert_same_bits(a, b)
+
+    def test_abs_cosine_row_holds_one_scan_array(self):
+        # One t_c row, 2 lams x 64 phis x 300 points: the (lam*phi, T) scan column is
+        # 300 KB, and every other buffer of the call comes to about a tenth of that.
+        t, y = bench_abs_series(23)
+        logx = np.log(330.0 - t)[None]
+        omegas = np.array([2.0 * math.pi / math.log(lam) for lam in (2.0, 2.5)])
+        phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
+        scan_bytes = 8 * len(omegas) * PHI_SCAN_POINTS * len(t)
+        tracemalloc.start()
+        try:
+            lppl._scan_rows(logx, y, omegas, np.array([0.5]), phis, True, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan_bytes < peak < 1.5 * scan_bytes
 
 
 class TestRefine:

@@ -152,6 +152,25 @@ class TestErrorsInWindowOrder:
             end = panel.dates[first_bad + self.WINDOW - 1]
             assert got == (DataError, f"window ending {end}: matrix has non-finite entries")
 
+    @pytest.mark.parametrize("where", ["earlier-chunk", "same-chunk", "later-chunk"])
+    def test_overflowing_window_fails_in_window_order(self, mode, where):
+        # A return of 1e300 overflows the centred sum of squares of every window
+        # holding it, as a zero-volatility series fails every window it fills.
+        per_chunk = windows_per_chunk(self.N)
+        flat = per_chunk + 3
+        first_bad = {"earlier-chunk": 2, "same-chunk": per_chunk + 1,
+                     "later-chunk": 2 * per_chunk + 2}[where]
+        panel = with_hole(self.panel(3 * per_chunk), 7, flat, self.WINDOW, 0.0)
+        panel = with_hole(panel, 12, first_bad + self.WINDOW - 1, 1, 1e300)
+        got = error_of(lambda: rolling_spectrum(panel, self.WINDOW))
+        assert got == error_of(lambda: spectrum_trace(rolling_windows(panel, self.WINDOW)))
+        if first_bad > flat:
+            assert got[1].startswith(f"zero volatility for {panel.assets[7]} in window ")
+        else:
+            start, end = panel.dates[first_bad], panel.dates[first_bad + self.WINDOW - 1]
+            assert got == (DataError, f"returns of {panel.assets[12]} overflow in window "
+                                      f"[{start}, {end}]: centred sum of squares is not finite")
+
 
 class TestPool:
     def test_at_most_one_kernel_per_worker_runs_at_once(self, mode, monkeypatch):
