@@ -9,7 +9,8 @@ and the BLAS thread setting, so any output can be reproduced byte for byte
 under the same BLAS setting; across settings, eigenvalues can differ in
 their last bits.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
+read or written included), 3 numeric failure.
 Failures also emit one machine-readable JSON line on stderr.
 
 A JSON config file may preload option values per subcommand
@@ -505,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         _error_record("numeric", str(exc))
         return 3
+    except OSError as exc:   # a file that cannot be read or written
+        _error_record("data", f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+        return 2
 
 
 if __name__ == "__main__":

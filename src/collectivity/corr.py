@@ -76,32 +76,30 @@ def _window_slice(panel: ReturnPanel, window: tuple[dt.date, dt.date] | None) ->
 
 def _correlation_stack(
     blocks: np.ndarray, assets: list[str], window_of: Callable[[int], WindowInfo]
-) -> tuple[np.ndarray, DataError | None]:
+) -> np.ndarray:
     """Correlation entries of a (k, N, T) stack of return windows, one batched matmul.
 
-    The stack stops at the first window holding a series whose correlation
-    is undefined: a zero-volatility series (its T returns all equal), or
-    finite returns whose centred sum of squares overflows (a root-mean-square
-    deviation above about 1.3e154 / sqrt(T)). The entries returned are those
-    of the windows before it, with the error naming that series and its window
-    (window_of(j) is the WindowInfo of window j), else None. The caller
-    raises the error once it is done with the earlier windows, so their
-    failures come first. A finite sum of squares bounds every entry of a
-    window's matmul (Cauchy-Schwarz), so the windows kept do not overflow.
-    A non-finite return is left to the decomposition's finiteness check.
+    Raises a DataError for the first window, then the first series in it,
+    whose correlation is undefined: a non-finite return, a zero-volatility
+    series (its T returns all equal), or finite returns whose centred sum of
+    squares overflows (a root-mean-square deviation above about
+    1.3e154 / sqrt(T)). The error names the series and its window
+    (window_of(j) is the WindowInfo of window j). A finite sum of squares
+    bounds every entry of a window's matmul (Cauchy-Schwarz), so the
+    entries of a stack that passes do not overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         centered = blocks - blocks.mean(axis=2, keepdims=True)
         norms = np.sqrt(np.einsum("kij,kij->ki", centered, centered))
-    error = None
     # Centring leaves a row of T equal returns x at most about T^1.5 eps/2 |x|
-    # of rounding, so only rows within twice that take the exact test.
+    # of rounding, so only rows within twice that take the exact test. A
+    # non-finite return makes its row's norm non-finite.
     tiny = norms <= blocks.shape[2] ** 1.5 * np.finfo(float).eps * abs(blocks[..., 0])
     for j, asset in np.argwhere(tiny | ~np.isfinite(norms)):  # window order, then asset order
         series = blocks[j, asset]
         if not np.isfinite(series).all():
-            continue
-        if series.max() == series.min():
+            fault = "non-finite return for {} in window [{}, {}]"
+        elif series.max() == series.min():
             fault = "zero volatility for {} in window [{}, {}]: correlation undefined"
         elif not np.isfinite(norms[j, asset]):
             fault = ("returns of {} overflow in window [{}, {}]: "
@@ -109,22 +107,13 @@ def _correlation_stack(
         else:
             continue
         window = window_of(int(j))
-        error = DataError(fault.format(assets[asset], window.start, window.end))
-        centered, norms = centered[:j], norms[:j]
-        break
+        raise DataError(fault.format(assets[asset], window.start, window.end))
     entries = np.matmul(centered, centered.transpose(0, 2, 1))
     entries /= norms[:, :, None] * norms[:, None, :]
     entries = 0.5 * (entries + entries.transpose(0, 2, 1))
     n = entries.shape[1]
     entries[:, np.arange(n), np.arange(n)] = 1.0
-    return entries, error
-
-
-def _correlation_entries(block: np.ndarray, assets: list[str], window: WindowInfo) -> np.ndarray:
-    entries, error = _correlation_stack(block[None], assets, lambda _: window)
-    if error is not None:
-        raise error
-    return entries[0]
+    return entries
 
 
 def correlation_matrix(
@@ -137,7 +126,7 @@ def correlation_matrix(
     if hi - lo < 2:
         raise DataError(f"window length {hi - lo} is too short, need T >= 2")
     info = WindowInfo(panel.dates[lo], panel.dates[hi - 1], hi - lo)
-    entries = _correlation_entries(panel.returns[:, lo:hi], panel.assets, info)
+    entries = _correlation_stack(panel.returns[None, :, lo:hi], panel.assets, lambda _: info)[0]
     return CorrelationMatrix(list(panel.assets), entries, info, block_split)
 
 
@@ -161,13 +150,13 @@ def rolling_window_ends(panel: ReturnPanel, window_length: int, step: int = 1) -
 
 def rolling_correlation_stack(
     panel: ReturnPanel, window_length: int, step: int, first: int, last: int
-) -> tuple[np.ndarray, DataError | None]:
+) -> np.ndarray:
     """Entries of windows first .. last - 1 of rolling_windows, as one (k, N, N) stack.
 
     The windows are a (k, N, T) view of the panel's returns, so only the
     stack's own temporaries are allocated. As in _correlation_stack, the
-    stack stops before the first window with a zero-volatility series and
-    the error naming it is returned, not raised. The arguments are not checked.
+    first window in the range holding a faulty series raises the DataError
+    naming it. The arguments are not checked.
     """
     views = sliding_window_view(panel.returns, window_length, axis=1)
     blocks = views[:, first * step : (last - 1) * step + 1 : step].transpose(1, 0, 2)
@@ -194,7 +183,8 @@ def rolling_windows(panel: ReturnPanel, window_length: int, step: int = 1) -> It
         for lo in range(0, panel.n_dates - window_length + 1, step):
             hi = lo + window_length
             info = WindowInfo(panel.dates[lo], panel.dates[hi - 1], window_length)
-            entries = _correlation_entries(panel.returns[:, lo:hi], panel.assets, info)
+            entries = _correlation_stack(panel.returns[None, :, lo:hi], panel.assets,
+                                         lambda _: info)[0]
             yield CorrelationMatrix(list(panel.assets), entries, info)
 
     return windows()

@@ -225,11 +225,12 @@ def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrac
 
     The serial reference for any iterable of matrices, one window at a time
     in the calling thread; the rolling windows of one panel go faster
-    through rolling_spectrum, which gives the same bits and errors. matrices
-    may be a generator such as corr.rolling_windows: a window is decomposed
-    before the next is pulled and released once its rows are kept, so an
-    error comes in window order and memory stays O(windows x N). Every
-    window must have the asset count of the first.
+    through rolling_spectrum, which gives the same bits and errors (but for
+    one case its docstring names). matrices may be a generator such as
+    corr.rolling_windows: a window is decomposed before the next is pulled
+    and released once its rows are kept, so an error comes in window order
+    and memory stays O(windows x N). Every window must have the asset count
+    of the first.
     """
     ends, values, leading = [], [], []
     for m in matrices:
@@ -250,24 +251,21 @@ def _rolling_chunk(
     panel: ReturnPanel, window_length: int, step: int, ends: list[dt.date],
     values: np.ndarray, leading: np.ndarray, first: int, last: int,
 ) -> None:
-    """Correlate and decompose windows first .. last - 1 into those rows of values and leading.
+    """Correlate, then decompose windows first .. last - 1 into those rows of values and leading.
 
-    A zero-volatility window raises after the windows before it in the range
-    are decomposed, so an earlier window's failure comes first.
+    corr raises the DataError of the first window in the range with a
+    faulty series before any window of the range is decomposed.
     """
-    entries, error = corr.rolling_correlation_stack(panel, window_length, step, first, last)
-    if len(entries):
-        stop = first + len(entries)
-        values[first:stop], leading[first:stop] = _decompose_windows(entries, ends[first:stop])
-    if error is not None:
-        raise error
+    entries = corr.rolling_correlation_stack(panel, window_length, step, first, last)
+    values[first:last], leading[first:last] = _decompose_windows(entries, ends[first:last])
 
 
 def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> RollingSpectrumTrace:
     """Spectrum trace of the rolling windows of a panel, correlated and decomposed chunk by chunk.
 
-    The same windows, bits and errors as spectrum_trace(corr.rolling_windows(
-    panel, window_length, step)), whose argument checks run here at the call.
+    The same windows and bits as spectrum_trace(corr.rolling_windows(panel,
+    window_length, step)), and its errors but for the case named below; its
+    argument checks run here at the call.
     The windows are split into ranges of CHUNK_BYTES of entries (or one
     window). A worker builds its range's correlation stack straight from a
     view of the returns, decomposes it in one stacked call, and writes the
@@ -277,7 +275,11 @@ def rolling_spectrum(panel: ReturnPanel, window_length: int, step: int = 1) -> R
     pinned to one thread (see resources.pool_workers), else in the calling
     thread. A range holds no memory until it runs, so memory stays
     O(workers x chunk + windows x N). The first error in window order is
-    raised, and the ranges not yet started are cancelled.
+    raised, and the ranges not yet started are cancelled. A range is
+    correlated before it is decomposed, so a window corr rejects wins over
+    a decomposition failure of an earlier window in its range, which
+    spectrum_trace would raise; no finite window that corr accepts has been
+    seen to fail the decomposition.
     """
     ends = corr.rolling_window_ends(panel, window_length, step)
     count, n = len(ends), panel.n_assets

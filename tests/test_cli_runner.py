@@ -1,6 +1,7 @@
 """The subcommand runner: `--out-dir`, the run manifest and the `wrote ...` line."""
 
 import datetime as dt
+import errno
 import json
 import os
 import subprocess
@@ -141,3 +142,18 @@ def test_a_process_exits_with_the_documented_code(tmp_path, args, code, kind):
     if kind == "data":
         assert record["message"] == (f"{not_a_trace}: not a spectrum trace file: column 1 is "
                                      "'date,asset,price', expected 'window_end_date'")
+
+
+def test_an_output_file_that_cannot_be_written_is_one_data_record(invocations, tmp_path):
+    # The trace is written, then spectrum_vectors.tsv is a directory: exit 2, no traceback.
+    out = tmp_path / "o"
+    (out / "spectrum_vectors.tsv").mkdir(parents=True)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "collectivity.cli", *invocations["spectrum"],
+                           "--out-dir", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line) == {"error": "data", "message": f"{out / 'spectrum_vectors.tsv'}: "
+                                                           f"{os.strerror(errno.EISDIR)}"}

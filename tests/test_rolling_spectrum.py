@@ -5,12 +5,16 @@ import os
 import sys
 import threading
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collectivity import spectral
-from collectivity.corr import rolling_windows
+from collectivity.corr import correlation_matrix, rolling_correlation, rolling_windows
 from collectivity.errors import DataError, NumericError
 from collectivity.marketdata import ReturnPanel
 from collectivity.resources import pool_workers
@@ -135,7 +139,7 @@ class TestErrorsInWindowOrder:
 
     @pytest.mark.parametrize("where", ["earlier-chunk", "same-chunk", "later-chunk"])
     def test_first_failing_window_wins(self, mode, where):
-        # A NaN return fails the decomposition of every window holding it.
+        # A NaN return is a fault of every window holding it, as corr finds it.
         # The zero-volatility window sits inside chunk 2; the first window
         # holding the NaN sits in chunk 1, before it in chunk 2, or in chunk 3.
         per_chunk = windows_per_chunk(self.N)
@@ -150,7 +154,8 @@ class TestErrorsInWindowOrder:
             assert got[1].startswith(f"zero volatility for {panel.assets[7]} in window ")
         else:
             end = panel.dates[first_bad + self.WINDOW - 1]
-            assert got == (DataError, f"window ending {end}: matrix has non-finite entries")
+            assert got == (DataError, f"non-finite return for {panel.assets[12]} in window "
+                                      f"[{panel.dates[first_bad]}, {end}]")
 
     @pytest.mark.parametrize("where", ["earlier-chunk", "same-chunk", "later-chunk"])
     def test_overflowing_window_fails_in_window_order(self, mode, where):
@@ -170,6 +175,70 @@ class TestErrorsInWindowOrder:
             start, end = panel.dates[first_bad], panel.dates[first_bad + self.WINDOW - 1]
             assert got == (DataError, f"returns of {panel.assets[12]} overflow in window "
                                       f"[{start}, {end}]: centred sum of squares is not finite")
+
+
+class TestNonFiniteReturns:
+    N = 6
+    WINDOW = 10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["correlation_matrix", "rolling_correlation",
+                                       "rolling_spectrum"])
+    def test_a_data_error_naming_the_asset_and_the_first_window(self, mode, monkeypatch,
+                                                                entry, value):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 3 * self.N * self.N * 8)
+        # Date 14 is first held by rolling window 5 (dates 5 .. 14), in the second chunk of 3.
+        panel = with_hole(one_factor_panel(self.N, 30, 0.3, seed=6), 2, 14, 1, value)
+        call, start, end = {
+            "correlation_matrix": (lambda: correlation_matrix(panel), 0, 29),
+            "rolling_correlation": (lambda: rolling_correlation(panel, self.WINDOW), 5, 14),
+            "rolling_spectrum": (lambda: rolling_spectrum(panel, self.WINDOW), 5, 14),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a RuntimeWarning would fail here, not pass
+            with pytest.raises(DataError) as info:
+                call()
+        assert str(info.value) == (f"non-finite return for {panel.assets[2]} in window "
+                                   f"[{panel.dates[start]}, {panel.dates[end]}]")
+
+
+def outcome(call):
+    """The trace's window ends, shape and bits, or the (type, message) of its error."""
+    try:
+        trace = call()
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return (trace.window_ends, trace.eigenvalues.shape, trace.eigenvalues.tobytes(),
+            trace.leading_vectors.tobytes())
+
+
+RETURN_FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "overflow": 1e300}
+
+
+class TestDifferential:
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_same_bits_or_same_error_as_spectrum_trace_of_rolling_windows(self, data):
+        n = data.draw(st.integers(1, 8), label="assets")
+        window = data.draw(st.integers(2, 12), label="window")   # T <= N included
+        step = data.draw(st.integers(1, 3), label="step")
+        dates = window + data.draw(st.integers(0, 12), label="dates past one window")
+        panel = one_factor_panel(n, dates, 0.3, seed=data.draw(st.integers(0, 999), label="seed"))
+        fault = data.draw(st.sampled_from(["none", "constant", *RETURN_FAULTS]), label="fault")
+        if fault != "none":
+            asset = data.draw(st.integers(0, n - 1), label="asset")
+            start = data.draw(st.integers(0, dates - 1), label="date")
+            if fault == "constant":
+                length = data.draw(st.integers(1, dates - start), label="run")
+                panel = with_hole(panel, asset, start, length, panel.returns[asset, start])
+            else:
+                panel = with_hole(panel, asset, start, 1, RETURN_FAULTS[fault])
+        per_chunk = data.draw(st.integers(1, 4), label="windows per chunk")
+        workers = data.draw(st.sampled_from([1, 2, 3]), label="workers")
+        with mock.patch.object(spectral, "CHUNK_BYTES", per_chunk * n * n * 8), \
+                mock.patch.object(spectral, "pool_workers", lambda: workers):
+            got = outcome(lambda: rolling_spectrum(panel, window, step))
+        assert got == outcome(lambda: spectrum_trace(rolling_windows(panel, window, step)))
 
 
 class TestPool:
