@@ -21,7 +21,6 @@ subcommand, is a usage error.
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 import itertools
 import json
@@ -198,8 +197,8 @@ def returns(out, inputs, **reading):
 
 @_subcommand("corr")
 @_with_options(_PRICE_FILE_OPTIONS)
-@click.option("--window-start", default=None, help="ISO date; first day of the window.")
-@click.option("--window-end", default=None, help="ISO date; last day of the window.")
+@click.option("--window-start", default=None, help="YYYY-MM-DD; first day of the window.")
+@click.option("--window-end", default=None, help="YYYY-MM-DD; last day of the window.")
 def corr_cmd(out, inputs, window_start, window_end, **reading):
     """Correlation matrix over one window (default: the whole panel)."""
     panel, extra = _load_panel(inputs, **reading)
@@ -208,7 +207,7 @@ def corr_cmd(out, inputs, window_start, window_end, **reading):
         raise click.UsageError("--window-start and --window-end must be given together")
     if window_start is not None:
         try:
-            window = (dt.date.fromisoformat(window_start), dt.date.fromisoformat(window_end))
+            window = (marketdata.parse_date(window_start), marketdata.parse_date(window_end))
         except ValueError as exc:
             raise click.UsageError(f"bad window date: {exc}") from exc
     matrix = corr.correlation_matrix(panel, window)
@@ -346,7 +345,7 @@ def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max
 @_subcommand("extrema")
 @_with_options(_SERIES_OPTIONS)
 @click.option("--t-c", "tc_text", required=True,
-              help="Critical time: ISO date or float days since the series start.")
+              help="Critical time: YYYY-MM-DD date or float days since the series start.")
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
 @click.option("--smooth-width", default=1, show_default=True, type=click.IntRange(min=1),
               help="Moving-average width before extremum detection (1 = off).")
@@ -357,7 +356,7 @@ def extrema(out, tc_text, direction, smooth_width, **series):
         tc = float(tc_text)
     except ValueError:
         try:
-            tc = float((dt.date.fromisoformat(tc_text) - origin).days)
+            tc = float((marketdata.parse_date(tc_text) - origin).days)
         except ValueError:
             raise click.UsageError(f"--t-c {tc_text!r} is neither a number nor an ISO date") from None
 

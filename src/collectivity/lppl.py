@@ -51,7 +51,9 @@ FD_STEP = math.sqrt(np.finfo(float).eps)   # relative forward-difference step of
 MAX_REFINE_SWEEPS = 500      # Levenberg-Marquardt iterations
 # Row-buffer budget of the grid stage: the lam blocks are sized so one t_c row's
 # buffers fit in it, and the t_c row batches of the pool_map tasks running at
-# once, one per worker, fit in it together.
+# once, one per worker, fit in it together. A task's gathered block of Gram
+# entries (_scan_rows) takes at most its batch's row-buffer bytes, or one
+# batch's entries where those are larger.
 GRID_BLOCK_BYTES = 4 << 20
 
 
@@ -323,7 +325,9 @@ def _row_bytes(n_t, n_lam, n_phi, abs_cosine):
     This budget sizes the lam blocks and the row batches, and the block width
     sets the last bits of every grid SSE, so it keeps the |cos| product slot
     although _scan_rows now fills that slot in place, in the scan column
-    itself. The node-shaped buffers of the LDL^T tail are not counted."""
+    itself. The node-shaped buffers of the gathered block (the Gram entries,
+    the LDL^T tail's scratch and the node masks) are not counted here:
+    _scan_rows gathers as many rows as fit in the batch's row-buffer bytes."""
     n_osc = 1 if abs_cosine else 2
     return 8 * n_t * n_lam * (1 + n_phi * (n_osc + 1) + 2 * abs_cosine)
 
@@ -351,27 +355,47 @@ def _cos_sin(theta, cos_out, sin_out):
 def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     """Best SSE and its t_c row for every (alpha, lam*phi) node over the rows of logx.
 
-    The rows go `batch` at a time, on buffers with a leading batch axis: each
-    row's arithmetic, a matrix product per row included, is the same as for a
-    batch of one. Returns (best_sse, best_row, nodes skipped); each node keeps
-    the first row that reaches its least SSE.
+    Two phases over blocks of S rows. The row phase builds each row's basis
+    and Gram entries `batch` rows at a time, on buffers with a leading batch
+    axis: each row's arithmetic, a matrix product per row included, is the
+    same as for a batch of one. Every product writes its entries with out=
+    into the block's gathered node entries, laid out along the alpha axis as
+    (S, slots * alpha, lam*phi), and the constant column's sum of env**2 and
+    env.y into one (S, 2, alpha, 1) buffer. The tail phase then runs the node
+    masks, the LDL^T projection, the degeneracy test, the skip count and the
+    best-row merge once for all S rows, so its numpy calls, whose dispatch
+    holds the interpreter lock, are divided by S rather than by `batch`.
 
-    The row buffers that _row_bytes counts, the squared Gram entries (for
-    |cos| also the cross entries and right-hand sides), the LDL^T tail's
-    scratch and the node masks are allocated once per call, before the first
-    batch, and written with out=. For |cos|, the scan column holds
-    |cos(theta + phi)| until the cross and right-hand-side product has read
-    it, and then its square, so no second (lam*phi, T) array is made. A
-    batch of one row updates best_sse and best_row directly; a longer batch
-    takes min and argmin over its rows.
+    S is a whole number of batches, as many as keep the gathered block (the
+    node entries, the LDL^T tail's scratch and the two node masks) within the
+    bytes of the batch's row buffers (_row_bytes), at least one batch and at
+    most all rows. Returns (best_sse, best_row, nodes skipped); each node
+    keeps the first row that reaches its least SSE: argmin within a block,
+    and a strict < against earlier blocks.
+
+    Every buffer is allocated once per call and written with out=. For |cos|,
+    the scan column holds |cos(theta + phi)| until the cross and
+    right-hand-side product has read it, and then its square, so no second
+    (lam*phi, T) array is made.
     """
     n_rows, n_t = logx.shape
     n_lam, n_alpha = len(omegas), len(alphas)
     n_osc = 1 if abs_cosine else 2
     n_cols = n_lam * len(phis)
+    size = n_osc + 1
+    # Entry slots of a row: each oscillation column's cross entry and right-hand
+    # side, then the squared entries b_j * b_m (m <= j).
+    n_slots = 2 * n_osc + n_osc * (n_osc + 1) // 2
     y_sq = float(y @ y)
     batch = min(batch, n_rows)
-    # Work buffers shared by every batch; a short last batch uses their leading rows.
+    # Block rows: whole batches, as many as keep the node-shaped buffers of a row (its
+    # entries, the tail's scratch and the two masks, each counted at 8 bytes a node)
+    # within the batch's row-buffer bytes.
+    n_scratch = 3 + size * (size + 1) // 2
+    tail_bytes = 8 * (n_slots + n_scratch + 2) * n_alpha * n_cols
+    row_bytes = _row_bytes(n_t, n_lam, len(phis), abs_cosine)
+    block_rows = min(n_rows, batch * max(1, row_bytes // tail_bytes))
+    # Row buffers shared by every batch; a short last batch uses their leading rows.
     theta = np.empty((batch, n_lam, n_t))
     basis = np.empty((batch, n_osc, n_cols, n_t))    # the oscillation columns
     # The |cos| scan column is squared in place once the cross and right-hand-side
@@ -379,67 +403,79 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     product = basis[:, 0] if abs_cosine else np.empty((batch, n_cols, n_t))
     env = np.empty((batch, n_alpha, n_t))
     weights = np.empty((batch, 2 * n_alpha, n_t))
-    squares = np.empty((batch, n_osc * (n_osc + 1) // 2, n_alpha, n_cols))
-    tail = _ldl_scratch(n_osc + 1, (batch, n_alpha, n_cols))
-    ok_buf = np.empty((batch, n_alpha, n_cols), dtype=bool)
+    # The gathered block; a short last block uses its leading rows.
+    entries = np.empty((block_rows, n_slots * n_alpha, n_cols))
+    slots = entries.reshape(block_rows, n_slots, n_alpha, n_cols)
+    sums = np.empty((block_rows, 2, n_alpha, 1))     # sum of env**2 and env.y
+    tail = _ldl_scratch(size, (block_rows, n_alpha, n_cols))
+    ok_buf = np.empty((block_rows, n_alpha, n_cols), dtype=bool)
     flag_buf = np.empty_like(ok_buf)
     if abs_cosine:
         # cos(theta + phi) = cos(phi) cos(theta) - sin(phi) sin(theta): each phi's
         # column is a fixed rotation of (cos theta, sin theta).
         rotation = np.column_stack([np.cos(phis), -np.sin(phis)])
         cos_sin = np.empty((batch, n_lam, 2, n_t))
-        first_order = np.empty((batch, 2 * n_alpha, n_cols))
 
     best_sse = np.full((n_alpha, n_cols), np.inf)
     best_row = np.zeros(best_sse.shape, dtype=int)
     skipped = 0
-    for start in range(0, n_rows, batch):
-        logx_rows = logx[start:start + batch, None, :]
-        k = len(logx_rows)
-        theta_k, basis_k, product_k, env_k = theta[:k], basis[:k], product[:k], env[:k]
-        env_sq, env_y = weights[:k, :n_alpha], weights[:k, n_alpha:]
-        np.multiply(omegas[:, None], logx_rows, out=theta_k)
-        if abs_cosine:
-            _cos_sin(theta_k, cos_sin[:k, :, 0], cos_sin[:k, :, 1])
-            scan = basis_k[:, 0].reshape(k, n_lam, PHI_SCAN_POINTS, n_t)
-            np.matmul(rotation, cos_sin[:k], out=scan)
-            np.abs(scan, out=scan)
-        else:
-            _cos_sin(theta_k, basis_k[:, 0], basis_k[:, 1])
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(alphas[:, None], logx_rows, out=env_k)
-            np.exp(env_k, out=env_k)
-            np.multiply(env_k, env_k, out=env_sq)
-            np.multiply(env_k, y, out=env_y)
-            # Lower triangle of the Gram matrix and the right-hand side, entry by entry,
-            # over (row, alpha, lam*phi); the constant column's entries broadcast over lam*phi.
-            gram = [[env_sq.sum(axis=2)[..., None]]]
-            rhs = [(env_k @ y)[..., None]]
+    for block in range(0, n_rows, block_rows):
+        n = min(block_rows, n_rows - block)
+        for lo in range(0, n, batch):
+            logx_rows = logx[block + lo:block + min(lo + batch, n), None, :]
+            k = len(logx_rows)
+            theta_k, basis_k, product_k, env_k = theta[:k], basis[:k], product[:k], env[:k]
+            env_sq, env_y = weights[:k, :n_alpha], weights[:k, n_alpha:]
+            row_slots = slots[lo:lo + k]
+            np.multiply(omegas[:, None], logx_rows, out=theta_k)
             if abs_cosine:
-                np.matmul(weights[:k], basis_k[:, 0].swapaxes(1, 2), out=first_order[:k])
-                cross_rhs = [(first_order[:k, :n_alpha], first_order[:k, n_alpha:])]
+                _cos_sin(theta_k, cos_sin[:k, :, 0], cos_sin[:k, :, 1])
+                scan = basis_k[:, 0].reshape(k, n_lam, PHI_SCAN_POINTS, n_t)
+                np.matmul(rotation, cos_sin[:k], out=scan)
+                np.abs(scan, out=scan)
             else:
-                cross_rhs = [(env_sq @ b.swapaxes(1, 2), env_y @ b.swapaxes(1, 2))
-                             for b in basis_k.swapaxes(0, 1)]
-            for j, (cross, right) in enumerate(cross_rhs):
-                gram_row = [cross]
-                for m in range(j + 1):
-                    np.multiply(basis_k[:, j], basis_k[:, m], out=product_k)
-                    square = squares[:k, j * (j + 1) // 2 + m]
-                    gram_row.append(np.matmul(env_sq, product_k.swapaxes(1, 2), out=square))
-                gram.append(gram_row)
-                rhs.append(right)
+                _cos_sin(theta_k, basis_k[:, 0], basis_k[:, 1])
 
-        ok, flag = ok_buf[:k], flag_buf[:k]
-        entries = itertools.chain(*gram, rhs)
-        np.isfinite(next(entries), out=ok)
-        for entry in entries:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(alphas[:, None], logx_rows, out=env_k)
+                np.exp(env_k, out=env_k)
+                np.multiply(env_k, env_k, out=env_sq)
+                np.multiply(env_k, y, out=env_y)
+                # Gram entries and right-hand sides over (row, alpha, lam*phi); the
+                # constant column's entries broadcast over lam*phi.
+                np.sum(env_sq, axis=2, out=sums[lo:lo + k, 0, :, 0])
+                np.matmul(env_k, y, out=sums[lo:lo + k, 1, :, 0])
+                if abs_cosine:
+                    # One product of the stacked [env**2; env * y] gives both slots.
+                    np.matmul(weights[:k], basis_k[:, 0].swapaxes(1, 2),
+                              out=entries[lo:lo + k, :2 * n_alpha])
+                else:
+                    for j in range(n_osc):
+                        b = basis_k[:, j].swapaxes(1, 2)
+                        np.matmul(env_sq, b, out=row_slots[:, 2 * j])
+                        np.matmul(env_y, b, out=row_slots[:, 2 * j + 1])
+                for j in range(n_osc):
+                    for m in range(j + 1):
+                        np.multiply(basis_k[:, j], basis_k[:, m], out=product_k)
+                        np.matmul(env_sq, product_k.swapaxes(1, 2),
+                                  out=row_slots[:, 2 * n_osc + j * (j + 1) // 2 + m])
+
+        # Lower triangle of each node's Gram matrix and its right-hand side.
+        gram = [[sums[:n, 0]]]
+        rhs = [sums[:n, 1]]
+        for j in range(n_osc):
+            gram.append([slots[:n, 2 * j]]
+                        + [slots[:n, 2 * n_osc + j * (j + 1) // 2 + m] for m in range(j + 1)])
+            rhs.append(slots[:n, 2 * j + 1])
+        ok, flag = ok_buf[:n], flag_buf[:n]
+        gathered = itertools.chain(*gram, rhs)
+        np.isfinite(next(gathered), out=ok)
+        for entry in gathered:
             ok &= np.isfinite(entry, out=flag)
         for m, gram_row in enumerate(gram):
             ok &= np.greater(gram_row[m], 0.0, out=flag)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine, tail[:, :k], flag)
+            sse, det = _ldl_projection(gram, rhs, y_sq, abs_cosine, tail[:, :n], flag)
         ok &= np.isfinite(det, out=flag)
         ok &= np.greater(det, DEGENERACY_TOL, out=flag)
         skipped += int(ok.size - np.count_nonzero(ok))
@@ -451,17 +487,17 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
         blank = np.logical_not(ok, out=ok)
         blank |= np.isnan(sse, out=flag)
         np.copyto(sse, np.inf, where=blank)
-        if k == 1:
+        if n == 1:
             better = np.less(sse[0], best_sse, out=flag[0])
             np.copyto(best_sse, sse[0], where=better)
-            best_row[better] = start
+            best_row[better] = block
             continue
-        # argmin takes the first row of the batch that reaches the minimum, and the
-        # strict < keeps an earlier batch's row on a tie.
-        batch_sse = sse.min(axis=0)
-        better = batch_sse < best_sse
-        best_sse[better] = batch_sse[better]
-        best_row[better] = start + sse.argmin(axis=0)[better]
+        # argmin takes the first row of the block that reaches the minimum, and the
+        # strict < keeps an earlier block's row on a tie.
+        block_sse = sse.min(axis=0)
+        better = block_sse < best_sse
+        best_sse[better] = block_sse[better]
+        best_row[better] = block + sse.argmin(axis=0)[better]
     return best_sse, best_row, skipped
 
 
@@ -474,13 +510,15 @@ def _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks):
 
     The t_c rows are split into W = min(pool_workers(), rows) contiguous
     slabs, and every (lam block, slab) pair is one task of a single
-    resources.pool_map over W threads. A task scans its slab R rows at a
-    time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (W * one row's
-    buffers for the block)), so the row buffers of all workers together stay
-    within GRID_BLOCK_BYTES unless one row's alone exceed it; batching
-    divides the Python-level dispatch, which holds the interpreter lock, by
-    R. Each block's slabs are merged in row order under a strict <, so the
-    worker count changes no output bit.
+    resources.pool_map over W threads. A task builds its slab's Gram entries
+    R rows at a time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (W *
+    one row's buffers for the block)), so the row buffers of all workers
+    together stay within GRID_BLOCK_BYTES unless one row's alone exceed it,
+    and runs the LDL^T tail once per gathered block of S rows, a whole number
+    of batches whose entries fit in the batch's row-buffer bytes. Batching
+    divides the Python-level dispatch, which holds the interpreter lock, by R
+    in the row phase and by S in the tail. Each block's slabs are merged in
+    row order under a strict <, so the worker count changes no output bit.
     """
     n_rows, n_t = logx.shape
     workers = min(pool_workers(), n_rows)
@@ -518,7 +556,10 @@ def _grid_stage(times, y, config, diag):
     entry and the right-hand side come from one product of the stacked
     [env**2; env * y]. _ldl_projection turns these entries into each node's SSE
     and normalized determinant with a closed-form LDL^T: no matrix is assembled
-    and no LAPACK routine runs per node. A node is skipped, and counted, unless
+    and no LAPACK routine runs per node. The entries are gathered over blocks
+    of t_c rows, and the tail runs once per block (_scan_rows): each row's
+    products keep their operand shapes and the tail is elementwise, so the
+    block size moves no bit. A node is skipped, and counted, unless
     its Gram and right-hand-side entries are finite, its diagonal is positive
     and its normalized determinant is finite and above DEGENERACY_TOL. For
     "abs-cosine", B >= 0: a node whose unconstrained B is negative (z_last < 0)

@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import math
 import operator
+import re
 import warnings
 from array import array
 from collections import Counter
@@ -131,6 +132,21 @@ def open_utf8(source: str | Path | TextIO, newline: str | None = None) -> Iterat
         raise DataError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> dt.date:
+    """The calendar date of a YYYY-MM-DD text (ASCII digits, nothing around it).
+
+    date.fromisoformat alone accepts more on Python 3.11 and later, such as
+    20200102 and the week date 2020-W02-2, which Python 3.10 rejects; this
+    grammar is the same on every supported Python. Raises ValueError.
+    """
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _read_columns(
     source: str | Path | TextIO,
     date_col: str,
@@ -142,7 +158,7 @@ def _read_columns(
     """(key, dates, values) of each key's records, in key order with dates sorted.
 
     The header row maps the column names; a byte-order mark before it is
-    dropped. Every non-blank record needs an ISO-8601 date and a finite
+    dropped. Every non-blank record needs a YYYY-MM-DD date and a finite
     number in the value column, plus a non-empty id in the key column when
     one is mapped. A keyed file holds prices, which must be positive, one
     per (id, date); without a key column all records form one series, keyed
@@ -222,7 +238,7 @@ def _read_columns(
     parsed = []
     for text in texts:
         try:
-            parsed.append(dt.date.fromisoformat(text.strip()))
+            parsed.append(parse_date(text.strip()))
         except ValueError:
             parsed.append(None)
     calendar = sorted({d for d in parsed if d is not None})
@@ -274,7 +290,7 @@ def _read_columns(
 def load_price_series(source: str | Path | TextIO, schema: ColumnSchema | None = None) -> list[PriceSeries]:
     """Parse delimited price records into one sorted PriceSeries per asset.
 
-    Each record needs an ISO-8601 date, an asset id and a positive, finite
+    Each record needs a YYYY-MM-DD date, an asset id and a positive, finite
     price. Bad records are hard errors naming the offending line; duplicate
     (asset, date) pairs are rejected rather than silently overwritten.
     """

@@ -25,7 +25,7 @@ from . import __version__
 from .corr import CorrelationMatrix
 from .errors import DataError
 from .lppl import LpplFitResult
-from .marketdata import ReturnPanel, open_utf8
+from .marketdata import ReturnPanel, open_utf8, parse_date
 from .resources import pool_workers
 from .spectral import CollectivityMetrics, RollingSpectrumTrace
 
@@ -138,7 +138,7 @@ def read_spectrum_trace(path: str | Path) -> np.ndarray:
     """The (windows, N) eigenvalue table of a spectrum trace file (inverse of write_spectrum_trace).
 
     The header must be exactly window_end_date, lambda_1 ... lambda_N, and
-    window end dates ISO dates, strictly increasing as in a
+    window end dates YYYY-MM-DD dates, strictly increasing as in a
     RollingSpectrumTrace. A fault names the earliest faulty line. The cells
     are parsed by float() into one flat buffer, which becomes the table.
     """
@@ -156,7 +156,7 @@ def read_spectrum_trace(path: str | Path) -> np.ndarray:
             if len(parts) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
             try:
-                end = dt.date.fromisoformat(parts[0])
+                end = parse_date(parts[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparseable window_end_date {parts[0]!r}") from None
             if prev_end is not None and end <= prev_end:

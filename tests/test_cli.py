@@ -153,6 +153,27 @@ class TestLpplCommands:
         record = json.loads((out / "extrema.json").read_text())
         assert record["lambda_estimate"] == pytest.approx(2.0, rel=0.05)
 
+    def test_extrema_rejects_a_week_date(self, lppl_series_csv, tmp_path, capsys):
+        # A basic-format date such as 20060205 parses as a number of days first.
+        rc = main(["extrema", "--input", str(lppl_series_csv),
+                   "--t-c", "2006-W05-7", "--out-dir", str(tmp_path / "ex")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record == {"error": "usage",
+                          "message": "--t-c '2006-W05-7' is neither a number nor an ISO date"}
+
+    def test_price_file_mixing_date_spellings_is_a_data_error(self, tmp_path, capsys):
+        # On Python 3.11 date.fromisoformat reads all of A's dates, and would align
+        # A's week date 2020-W02-2 with B's 2020-01-07.
+        rows = ["20200102,A,1.0", "20200103,A,1.1", "20200106,A,1.2", "2020-W02-2,A,1.3",
+                "2020-01-02,B,2.0", "2020-01-03,B,2.1", "2020-01-06,B,2.2", "2020-01-07,B,2.3"]
+        path = tmp_path / "mixed.csv"
+        path.write_text("date,asset,price\n" + "\n".join(rows) + "\n")
+        rc = main(["returns", "--input", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record == {"error": "data", "message": "line 2: unparseable date '20200102'"}
+
 
 class TestGridNodes:
     @pytest.fixture
@@ -352,6 +373,17 @@ class TestCorrWindowFlags:
         assert meta["window_start"] >= "2000-02-01"
         assert meta["window_end"] <= "2000-03-01"
         assert meta["block_split"] is None
+
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    @pytest.mark.parametrize("text", ["20000201", "2000-W05-2"])
+    def test_window_dates_are_yyyy_mm_dd(self, market_csv, tmp_path, capsys, flag, text):
+        dates = {"--window-start": "2000-02-01", "--window-end": "2000-03-01", flag: text}
+        rc = main(["corr", "--input", str(market_csv), *[arg for item in dates.items() for arg in item],
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "usage"
+        assert record["message"] == f"bad window date: not a YYYY-MM-DD date: {text!r}"
 
     def test_half_open_window_is_usage_error(self, market_csv, tmp_path, capsys):
         rc = main(["corr", "--input", str(market_csv), "--window-start", "2000-02-01",

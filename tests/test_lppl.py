@@ -751,6 +751,125 @@ class TestLdlTail:
         assert scan_bytes < peak < 1.5 * scan_bytes
 
 
+class TestGatheredTail:
+    """_scan_rows gathers the Gram entries of S t_c rows and runs the LDL^T tail once
+    per block; the block size S changes no output bit."""
+
+    @staticmethod
+    def tail_bytes(n_alpha, n_cols, abs_cosine):
+        # Per row, 8 bytes a node for each of: the node entries (cross entries,
+        # right-hand sides and squares), the LDL^T scratch slots and two masks.
+        slots, scratch = (3, 6) if abs_cosine else (7, 9)
+        return 8 * (slots + scratch + 2) * n_alpha * n_cols
+
+    @classmethod
+    def scan(cls, monkeypatch, logx, y, omegas, alphas, phis, abs_cosine, batch, groups):
+        """_scan_rows with blocks of `groups` batches (None: all rows); returns its
+        result as bytes and the row count of every tail call."""
+        n_cols = len(omegas) * len(phis)
+        budget = 1 << 40 if groups is None else groups * cls.tail_bytes(len(alphas), n_cols,
+                                                                         abs_cosine)
+        monkeypatch.setattr(lppl, "_row_bytes", lambda *args: budget)
+        blocks = []
+        ldl_projection = lppl._ldl_projection
+
+        def record(gram, rhs, y_sq, last_nonnegative, scratch, flag):
+            blocks.append(len(flag))
+            return ldl_projection(gram, rhs, y_sq, last_nonnegative, scratch, flag)
+
+        monkeypatch.setattr(lppl, "_ldl_projection", record)
+        best_sse, best_row, skipped = lppl._scan_rows(logx, y, omegas, alphas, phis,
+                                                      abs_cosine, batch)
+        return (best_sse.tobytes(), best_row.tolist(), skipped), blocks
+
+    @staticmethod
+    def grid_inputs(times, tc_grid, lam_grid, alpha_grid, variant):
+        logx = np.log(np.asarray(tc_grid)[:, None] - times[None, :])
+        omegas = np.array([2.0 * math.pi / math.log(lam) for lam in lam_grid])
+        if variant == "cosine":
+            phis = np.zeros(1)
+        else:
+            phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
+        return logx, omegas, np.asarray(alpha_grid, dtype=float), phis
+
+    # (batch, batches per block): S = 1, 2, 3 and all rows in one-row batches, then
+    # blocks of whole batches; 7 rows leave a short last block for every S below 7.
+    LAYOUTS = [(1, 1), (1, 2), (1, 3), (1, None), (2, 1), (3, 2)]
+
+    def assert_layouts_agree(self, monkeypatch, times, y, tc_grid, lam_grid, alpha_grid, variant):
+        logx, omegas, alphas, phis = self.grid_inputs(times, tc_grid, lam_grid, alpha_grid,
+                                                      variant)
+        n_rows = len(logx)
+        results = {}
+        for batch, groups in self.LAYOUTS:
+            result, blocks = self.scan(monkeypatch, logx, y, omegas, alphas, phis,
+                                       variant == "abs-cosine", batch, groups)
+            size = n_rows if groups is None else batch * groups
+            assert blocks == [min(size, n_rows - lo) for lo in range(0, n_rows, size)]
+            results[batch, groups] = result
+        want = results[1, 1]
+        for result in results.values():
+            assert result == want
+        return want
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_block_size_changes_no_bit(self, monkeypatch, variant):
+        t, y = bench_abs_series(58)
+        want = self.assert_layouts_agree(monkeypatch, t, y, np.linspace(300.5, 600.0, 7),
+                                         np.linspace(1.5, 3.5, 3), np.linspace(-1.0, 1.0, 4),
+                                         variant)
+        assert want[2] == 0
+        # The rows' minima are not all in one row, so the merge across blocks is exercised.
+        assert len(set(itertools.chain(*want[1]))) > 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_exact_ties_across_blocks_go_to_the_first_row(self, monkeypatch, variant):
+        # y = 0 gives every node an SSE of exactly 0 in every t_c row.
+        t = np.linspace(0.0, 200.0, 80)
+        best_sse, best_row, skipped = self.assert_layouts_agree(
+            monkeypatch, t, np.zeros(len(t)), np.linspace(205.0, 280.0, 7),
+            np.linspace(1.6, 3.0, 3), np.linspace(-0.5, 1.0, 3), variant)
+        assert np.all(np.frombuffer(best_sse) == 0.0)
+        assert set(itertools.chain(*best_row)) == {0}
+        assert skipped == 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_degenerate_rows_in_different_blocks_are_counted_once(self, monkeypatch, variant):
+        # The degenerate-node setup of TestGridStage: the t_c = 2e12-like rows fall
+        # in different blocks for every S between 2 and 6.
+        t = np.linspace(0.0, 30.0, 40)
+        tc_grid = [40.0, 2.0e12, 50.0, 60.0, 5.0e12, 70.0, 3.0e12]
+        cfg = FitConfig(tc_grid=np.array(tc_grid), lam_grid=np.array([2.0, 1.0e9]),
+                        alpha_grid=np.array([0.0, 0.5]), variant=variant)
+        dets = TestGridStage.reference_determinants(t, cfg)
+        assert not np.any((dets > 0.1 * DEGENERACY_TOL) & (dets < 10.0 * DEGENERACY_TOL))
+        want_skipped = int(np.sum(~(dets > DEGENERACY_TOL)))
+        assert 0 < want_skipped < dets.size
+        _, _, skipped = self.assert_layouts_agree(monkeypatch, t, np.sin(t), cfg.tc_grid,
+                                                  cfg.lam_grid, cfg.alpha_grid, variant)
+        assert skipped == want_skipped
+
+    def test_gathered_block_stays_within_the_row_buffers(self):
+        # A default-grid cosine slab on 2 workers: 100 t_c rows, 41 lams, 21 alphas,
+        # 500 points, in 3-row batches. The gathered block takes at most the bytes
+        # of the batch's row buffers, so the call holds about twice those, beside
+        # the env and [env**2; env * y] buffers.
+        t = np.arange(500.0)
+        cfg = default_fit_config(t)
+        logx, omegas, alphas, phis = self.grid_inputs(t, cfg.tc_grid[1:101], cfg.lam_grid,
+                                                      cfg.alpha_grid, "cosine")
+        batch = 3
+        row_buffers = batch * lppl._row_bytes(len(t), len(omegas), 1, False)
+        env_bytes = 8 * batch * 3 * len(alphas) * len(t)
+        tracemalloc.start()
+        try:
+            lppl._scan_rows(logx, np.cos(t / 30.0), omegas, alphas, phis, False, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 1.5 * row_buffers < peak - env_bytes < 2.0 * row_buffers
+
+
 class TestRefine:
     @staticmethod
     def refined(times, y, config):

@@ -17,6 +17,7 @@ from collectivity.marketdata import (
     load_price_series,
     load_value_series,
     merge_price_series,
+    parse_date,
     shift_returns,
 )
 from collectivity.synthetic import business_dates
@@ -336,3 +337,33 @@ class TestLoadValueSeries:
     def test_bad_value_names_the_line(self):
         with pytest.raises(DataError, match="line 3"):
             load_value_series(csv_stream("date,price\n2020-01-01,1\n2020-01-02,oops"))
+
+
+# Python 3.11's date.fromisoformat accepts these; Python 3.10's does not.
+WIDER_ISO_DATES = ["20200102", "2020-W02-2"]
+
+
+class TestDateGrammar:
+    def test_parses_yyyy_mm_dd(self):
+        assert parse_date("2020-01-02") == dt.date(2020, 1, 2)
+
+    @pytest.mark.parametrize("text", WIDER_ISO_DATES + [
+        "2020-1-02", " 2020-01-02", "2020-01-02\n", "2020-01-02T00:00", "\uff12020-01-02",
+        "2020-02-30"])
+    def test_anything_else_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
+    @pytest.mark.parametrize("text", WIDER_ISO_DATES)
+    def test_readers_name_the_line(self, text):
+        with pytest.raises(DataError, match=f"^line 3: unparseable date {text!r}$"):
+            load_price_series(csv_stream(f"date,asset,price\n2020-01-01,A,1.0\n{text},A,1.5"))
+        with pytest.raises(DataError, match=f"^line 3: unparseable date {text!r}$"):
+            load_value_series(csv_stream(f"date,price\n2020-01-01,1.0\n{text},1.5"))
+
+    def test_a_file_that_mixes_spellings_is_rejected(self):
+        # 2020-W02-2 is 2020-01-07, the day of B's last record.
+        rows = ["2020-01-02,A,1.0", "2020-01-03,A,1.1", "2020-W02-2,A,1.2", "20200108,A,1.3",
+                "2020-01-02,B,2.0", "2020-01-03,B,2.1", "2020-01-07,B,2.2"]
+        with pytest.raises(DataError, match="^line 4: unparseable date '2020-W02-2'$"):
+            load_price_series(csv_stream("date,asset,price\n" + "\n".join(rows)))

@@ -120,6 +120,14 @@ class TestTraceFiles:
             read_spectrum_trace(path)
         assert str(err.value) == f"{path}:3: non-finite eigenvalue"
 
+    @pytest.mark.parametrize("end", ["20200102", "2020-W02-2"])
+    def test_window_end_date_is_yyyy_mm_dd(self, tmp_path, end):
+        path = tmp_path / "trace.tsv"
+        path.write_text("window_end_date\tlambda_1\n2020-01-01\t1.0\n" + end + "\t1.0\n")
+        with pytest.raises(DataError) as err:
+            read_spectrum_trace(path)
+        assert str(err.value) == f"{path}:3: unparseable window_end_date {end!r}"
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("not\ta\ttrace\n")
