@@ -345,7 +345,7 @@ def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max
 @_subcommand("extrema")
 @_with_options(_SERIES_OPTIONS)
 @click.option("--t-c", "tc_text", required=True,
-              help="Critical time: YYYY-MM-DD date or float days since the series start.")
+              help="Critical time: YYYY-MM-DD date or float days since the series start, not YYYYMMDD.")
 @click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
 @click.option("--smooth-width", default=1, show_default=True, type=click.IntRange(min=1),
               help="Moving-average width before extremum detection (1 = off).")
@@ -359,6 +359,15 @@ def extrema(out, tc_text, direction, smooth_width, **series):
             tc = float((marketdata.parse_date(tc_text) - origin).days)
         except ValueError:
             raise click.UsageError(f"--t-c {tc_text!r} is neither a number nor an ISO date") from None
+    else:
+        iso = f"{tc_text[:4]}-{tc_text[4:6]}-{tc_text[6:]}"   # a date only if tc_text is 8 digits
+        try:
+            marketdata.parse_date(iso)
+        except ValueError:
+            pass   # no YYYYMMDD date, so days
+        else:
+            raise click.UsageError(f"--t-c {tc_text!r} is both a YYYYMMDD date and a number: "
+                                   f"write {iso} for the date or {tc!r} for days")
 
     progression = lppl.extrema_progression(times, values, tc, direction, smooth_width)
     output.write_json(

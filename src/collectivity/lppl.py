@@ -487,11 +487,6 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
         blank = np.logical_not(ok, out=ok)
         blank |= np.isnan(sse, out=flag)
         np.copyto(sse, np.inf, where=blank)
-        if n == 1:
-            better = np.less(sse[0], best_sse, out=flag[0])
-            np.copyto(best_sse, sse[0], where=better)
-            best_row[better] = block
-            continue
         # argmin takes the first row of the block that reaches the minimum, and the
         # strict < keeps an earlier block's row on a tie.
         block_sse = sse.min(axis=0)

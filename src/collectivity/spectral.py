@@ -23,7 +23,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -107,47 +107,34 @@ def poisson_cdf(s: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(-s)
 
 
-def _first_failure(ok: np.ndarray, stacked: bool) -> tuple[int, str]:
-    """Index of the first matrix failing a check, and a message prefix naming it in a stack."""
-    i = int(np.argmin(ok))
-    return i, f"matrix {i} of the stack: " if stacked else ""
+def _checked_eigenpairs(matrix: np.ndarray, semidefinite: bool, where: Callable[[int], str]):
+    """Descending eigenvalues (k, N) and eigenvectors (k, N, N) of an (N, N) or (k, N, N) input.
 
-
-def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
-
-    matrix may also be a (k, N, N) stack. Then one LAPACK call covers the
-    stack, the results are (k, N) eigenvalues and (k, N, N) eigenvectors,
-    and every check below holds for each matrix on its own; an error names
-    the first matrix that fails. A 2-D input is a stack of one.
-
-    Rejects inputs whose asymmetry exceeds 1e-12 and verifies the residual
-    ||M v - lambda v|| <= 1e-9 * max(N, max |lambda|) per eigenpair. Exactly
-    equal eigenvalues are ordered by the lexicographically smallest
-    sign-fixed eigenvector, so the output is deterministic.
+    Every check runs on every matrix, in the order finite, symmetric,
+    residual, orthonormal and, if semidefinite, smallest eigenvalue >= -1e-9.
+    The first matrix in stack order that fails any check raises its first
+    failed check, prefixed by where(i). A non-finite or asymmetric matrix is
+    decomposed as the identity, so LAPACK never sees it.
     """
-    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2] or not matrix.shape[-1]:
-        raise DataError(f"expected a non-empty square matrix or stack of them, got {matrix.shape}")
-    stacked = matrix.ndim == 3
+        # Every matrix of a stack has the same shape, so the first is named.
+        shape = matrix.shape[1:] if matrix.ndim == 3 else matrix.shape
+        raise DataError(f"{where(0)}expected a non-empty square matrix or stack of them, got {shape}")
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    ok = np.all(np.isfinite(stack), axis=(1, 2))
-    if not ok.all():
-        _, where = _first_failure(ok, stacked)
-        raise DataError(f"{where}matrix has non-finite entries")
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
     # Every (k, N, N) temporary is written into one of three buffers (work,
     # vectors, rows): a fresh large array per step costs page faults that
     # rival the arithmetic of the checks.
     transposed = stack.transpose(0, 2, 1)
-    work = np.subtract(stack, transposed)
-    asym = np.max(np.abs(work, out=work), axis=(1, 2))
-    ok = asym <= SYMMETRY_TOL
-    if not ok.all():
-        i, where = _first_failure(ok, stacked)
-        raise DataError(f"{where}matrix is not symmetric: max |M - M^T| = {asym[i]:.3e}")
-
-    sym = np.add(stack, transposed, out=work)
+    with np.errstate(invalid="ignore"):   # inf - inf in a non-finite matrix
+        work = np.subtract(stack, transposed)
+        asym = np.max(np.abs(work, out=work), axis=(1, 2))
+        sym = np.add(stack, transposed, out=work)
     sym *= 0.5
+    # A non-finite entry makes its matrix's asymmetry NaN or infinite.
+    symmetric = asym <= SYMMETRY_TOL
+    if not symmetric.all():
+        sym[~symmetric] = np.eye(stack.shape[-1])
     values, vectors = np.linalg.eigh(sym)
     # eigh's eigenvalues ascend: one reversed copy gives them descending, with
     # the eigenvectors as contiguous rows (rows[k, j] pairs with values[k, j]).
@@ -161,7 +148,7 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
         order = np.lexsort(np.vstack([rows[i].T[::-1], -values[i][None]]))
         values[i], rows[i] = values[i, order], rows[i, order]
 
-    # The checks are written as `not (x <= tol)` so that a NaN defect fails them.
+    # The checks are written as `x <= tol` so that a NaN defect fails them.
     n = values.shape[1]
     # A backward-stable solver's residual scales with the matrix norm, so the
     # bound grows with max |lambda| once that exceeds N, which it never does
@@ -170,53 +157,60 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     residual = np.matmul(rows, sym, out=vectors)   # row j is (sym v_j)^T: sym is symmetric
     residual -= np.multiply(values[..., None], rows, out=work)  # sym is not needed again
     worst = np.max(np.sqrt(np.einsum("kij,kij->ki", residual, residual)), axis=1)
-    ok = worst <= bound
-    if not ok.all():
-        i, where = _first_failure(ok, stacked)
-        raise NumericError(f"{where}eigenpair residual {worst[i]:.3e} exceeds {bound[i]:.3e}")
     gram = np.matmul(rows, rows.transpose(0, 2, 1), out=vectors)
     gram[:, np.arange(n), np.arange(n)] -= 1.0
     ortho = np.max(np.abs(gram, out=gram), axis=(1, 2))
-    ok = ortho <= RESIDUAL_TOL
+    lowest = values[:, -1] if semidefinite else np.zeros(len(values))
+    ok = np.array([finite, symmetric, worst <= bound, ortho <= RESIDUAL_TOL, lowest >= -RESIDUAL_TOL])
     if not ok.all():
-        i, where = _first_failure(ok, stacked)
-        raise NumericError(f"{where}eigenvector orthonormality defect {ortho[i]:.3e}")
-    vectors = rows.transpose(0, 2, 1)
-    return (values, vectors) if stacked else (values[0], vectors[0])
+        i = int(np.argmin(ok.all(axis=0)))
+        error, text = [
+            (DataError, "matrix has non-finite entries"),
+            (DataError, f"matrix is not symmetric: max |M - M^T| = {asym[i]:.3e}"),
+            (NumericError, f"eigenpair residual {worst[i]:.3e} exceeds {bound[i]:.3e}"),
+            (NumericError, f"eigenvector orthonormality defect {ortho[i]:.3e}"),
+            (NumericError, f"correlation matrix has eigenvalue {lowest[i]:.3e} below -{RESIDUAL_TOL}"),
+        ][int(np.argmin(ok[:, i]))]
+        raise error(where(i) + text)
+    return values, rows.transpose(0, 2, 1)
 
 
-def _check_semidefinite(values: np.ndarray) -> None:
-    """Reject a spectrum (or a stack of them, one per row) whose smallest eigenvalue is below -1e-9."""
-    lowest = values[..., -1]
-    below = lowest[lowest < -RESIDUAL_TOL]
-    if below.size:
-        raise NumericError(f"correlation matrix has eigenvalue {below[0]:.3e} below -{RESIDUAL_TOL}")
+def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
+
+    matrix may also be a (k, N, N) stack. Then one LAPACK call covers the
+    stack, the results are (k, N) eigenvalues and (k, N, N) eigenvectors,
+    and every check below holds for each matrix on its own; an error names
+    the first matrix in stack order that fails any check, and its first
+    failed check. A 2-D input is a stack of one.
+
+    The checks, in order: finite entries, asymmetry <= 1e-12, the residual
+    ||M v - lambda v|| <= 1e-9 * max(N, max |lambda|) per eigenpair, and
+    orthonormality within 1e-9. Exactly equal eigenvalues are ordered by the
+    lexicographically smallest sign-fixed eigenvector, so the output is
+    deterministic.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    where = "matrix {} of the stack: " if matrix.ndim == 3 else ""
+    values, vectors = _checked_eigenpairs(matrix, False, where.format)
+    return (values, vectors) if matrix.ndim == 3 else (values[0], vectors[0])
 
 
 def eigendecompose(matrix: CorrelationMatrix) -> EigenSpectrum:
     """Spectrum of a correlation matrix, enforcing positive semidefiniteness up to 1e-9."""
-    values, vectors = symmetric_eigendecomposition(matrix.entries)
-    _check_semidefinite(values)
-    return EigenSpectrum(values, vectors)
+    values, vectors = _checked_eigenpairs(matrix.entries, True, lambda i: "")
+    return EigenSpectrum(values[0], vectors[0])
 
 
 def _decompose_windows(stack: np.ndarray, ends: list[dt.date]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (k, N) and leading eigenvectors (k, N) of a (k, N, N) stack of windows.
 
-    One stacked decomposition covers the stack. If any window fails a check,
-    the windows are redone one by one, so the error names the first failing
-    window by its end date.
+    One stacked decomposition covers the stack. An error names the first
+    window in stack order, by its end date, that fails any check, and its
+    first failed check, in the order finite, symmetric, residual,
+    orthonormal, smallest eigenvalue >= -1e-9.
     """
-    try:
-        values, vectors = symmetric_eigendecomposition(stack)
-        _check_semidefinite(values)
-    except (DataError, NumericError):
-        for matrix, end in zip(stack, ends):
-            try:
-                _check_semidefinite(symmetric_eigendecomposition(matrix)[0])
-            except (DataError, NumericError) as exc:
-                raise type(exc)(f"window ending {end}: {exc}") from exc
-        raise  # the checks hold matrix by matrix, so some window failed above
+    values, vectors = _checked_eigenpairs(stack, True, lambda i: f"window ending {ends[i]}: ")
     return values, vectors[:, :, 0]
 
 
@@ -228,8 +222,9 @@ def spectrum_trace(matrices: Iterable[CorrelationMatrix]) -> RollingSpectrumTrac
     through rolling_spectrum, which gives the same bits and errors (but for
     one case its docstring names). matrices may be a generator such as
     corr.rolling_windows: a window is decomposed before the next is pulled
-    and released once its rows are kept, so an error comes in window order
-    and memory stays O(windows x N). Every window must have the asset count
+    and released once its rows are kept, so memory stays O(windows x N).
+    An error names the first failing window and its first failed check, in
+    the order of _decompose_windows. Every window must have the asset count
     of the first.
     """
     ends, values, leading = [], [], []

@@ -162,6 +162,17 @@ class TestLpplCommands:
         assert record == {"error": "usage",
                           "message": "--t-c '2006-W05-7' is neither a number nor an ISO date"}
 
+    def test_extrema_rejects_days_that_read_as_a_basic_format_date(self, lppl_series_csv,
+                                                                    tmp_path, capsys):
+        rc = main(["extrema", "--input", str(lppl_series_csv),
+                   "--t-c", "20060205", "--out-dir", str(tmp_path / "ex")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record == {"error": "usage",
+                          "message": "--t-c '20060205' is both a YYYYMMDD date and a number: "
+                                     "write 2006-02-05 for the date or 20060205.0 for days"}
+        assert not (tmp_path / "ex" / "extrema.json").exists()
+
     def test_price_file_mixing_date_spellings_is_a_data_error(self, tmp_path, capsys):
         # On Python 3.11 date.fromisoformat reads all of A's dates, and would align
         # A's week date 2020-W02-2 with B's 2020-01-07.

@@ -329,6 +329,36 @@ class TestStackedDecomposition:
         with pytest.raises(DataError, match="^matrix 1 of the stack: matrix is not symmetric"):
             symmetric_eigendecomposition(stack)
 
+    def test_first_matrix_failing_any_check_is_named(self):
+        stack = self.stack()
+        stack[1, 0, 5] += 1e-9
+        stack[3, 2, 2] = np.inf
+        with pytest.raises(DataError, match="^matrix 1 of the stack: matrix is not symmetric"):
+            symmetric_eigendecomposition(stack)
+
+    def test_first_window_failing_any_check_is_named(self):
+        stack = self.stack()
+        stack[1, 0, 1] = stack[1, 1, 0] = 2.0   # an eigenvalue of -1
+        stack[3, 2, 2] = np.nan
+        ends = [dt.date(2020, 1, 1 + i) for i in range(len(stack))]
+        with pytest.raises(NumericError, match="^window ending 2020-01-02: correlation matrix has "
+                                               "eigenvalue -1.000e[+]00 below -1e-09$"):
+            spectral._decompose_windows(stack, ends)
+
+    def test_failing_window_stack_calls_eigh_once_on_finite_matrices(self, monkeypatch):
+        stack = self.stack()
+        stack[2, 0, 1] = np.nan
+        stack[4, 1, 0] = np.inf
+        stack[3, 0, 5] += 1e-6
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(bool(np.isfinite(a).all())) or eigh(a))
+        ends = [dt.date(2020, 1, 1 + i) for i in range(len(stack))]
+        with pytest.raises(DataError, match="^window ending 2020-01-03: matrix has non-finite entries$"):
+            spectral._decompose_windows(stack, ends)
+        assert calls == [True]
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2), (0, 0), (2, 0, 0)])
     def test_rejects_shapes_that_are_not_square_stacks(self, shape):
         with pytest.raises(DataError, match="square matrix"):
