@@ -7,7 +7,14 @@ output files plus a `<subcommand>_manifest.json` echoing the resolved
 configuration, the seed (where randomness is involved), library versions
 and the BLAS thread setting, so any output can be reproduced byte for byte
 under the same BLAS setting; across settings, eigenvalues can differ in
-their last bits.
+their last bits. When neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is
+set and numpy is not loaded yet, main() sets both to 1, so a default run
+gets the worker pool and the one-thread bytes; a value the user set is kept.
+
+This module loads only click and the package's numpy-free modules. Each
+subcommand imports the library modules it calls, and calls them through
+the module (`marketdata.load_price_series(...)`), so `--version`, `--help`
+and a misspelt option run without numpy.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
 read or written included), 3 numeric failure.
@@ -24,15 +31,25 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import __version__, corr, lppl, marketdata, output, rpa, spectral, weierstrass
+from . import __version__
+from .choices import DIRECTIONS, VARIANTS
 from .errors import DataError, NumericError
-from .resources import MAX_ARRAY_BYTES
+from .resources import BLAS_THREAD_VARS, MAX_ARRAY_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .marketdata import ReturnPanel
+
+DEFAULT_WINDOW = 30         # trading days, single market
+DEFAULT_GLOBAL_WINDOW = 60  # trading days, two-market global matrix
 
 
 def _echo_config(params: dict) -> dict:
@@ -46,8 +63,10 @@ def _echo_config(params: dict) -> dict:
 
 
 def _load_panel(inputs, date_col, asset_col, price_col, delimiter, tau,
-                min_coverage) -> tuple[marketdata.ReturnPanel, dict]:
+                min_coverage) -> tuple[ReturnPanel, dict]:
     """Aligned return panel of the price files, and its manifest extras (the dropped asset ids)."""
+    from . import marketdata
+
     schema = marketdata.ColumnSchema(date_col, asset_col, price_col, delimiter)
     series = marketdata.merge_price_series(marketdata.load_price_series(p, schema) for p in inputs)
     returns = marketdata.compute_returns(series, tau)
@@ -106,6 +125,10 @@ def _with_options(options):
 
 def _load_series(input_path, date_col, value_col, delimiter, take_log):
     """(origin date, days since origin, values or their log) of a series file."""
+    import numpy as np
+
+    from . import marketdata
+
     dates, values = marketdata.load_value_series(input_path, date_col, value_col, delimiter)
     if take_log:
         if np.any(values <= 0):
@@ -166,6 +189,8 @@ def _subcommand(name: str):
     def decorate(body):
         @functools.wraps(body)
         def run(out_dir: str, **params):
+            from . import output
+
             out = Path(out_dir)
             try:
                 out.mkdir(parents=True, exist_ok=True)
@@ -190,6 +215,8 @@ def _subcommand(name: str):
 @_with_options(_PRICE_FILE_OPTIONS)
 def returns(out, inputs, **reading):
     """Compute the aligned log-return panel from price files."""
+    from . import output
+
     panel, extra = _load_panel(inputs, **reading)
     output.write_panel_tsv(out / "returns.tsv", panel)
     return ["returns.tsv"], extra
@@ -201,6 +228,8 @@ def returns(out, inputs, **reading):
 @click.option("--window-end", default=None, help="YYYY-MM-DD; last day of the window.")
 def corr_cmd(out, inputs, window_start, window_end, **reading):
     """Correlation matrix over one window (default: the whole panel)."""
+    from . import corr, marketdata, output
+
     panel, extra = _load_panel(inputs, **reading)
     window = None
     if (window_start is None) != (window_end is None):
@@ -218,13 +247,15 @@ def corr_cmd(out, inputs, window_start, window_end, **reading):
 
 @_subcommand("spectrum")
 @_with_options(_PRICE_FILE_OPTIONS)
-@click.option("--window-length", default=corr.DEFAULT_WINDOW, show_default=True,
+@click.option("--window-length", default=DEFAULT_WINDOW, show_default=True,
               type=click.IntRange(min=2), help="Rolling window length in trading days.")
 @click.option("--step", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--vectors/--no-vectors", default=True, show_default=True,
               help="Also write the leading eigenvector per window.")
 def spectrum(out, inputs, window_length, step, vectors, **reading):
     """Rolling eigenspectrum trace of the single-market correlation matrix."""
+    from . import output, spectral
+
     panel, extra = _load_panel(inputs, **reading)
     trace = spectral.rolling_spectrum(panel, window_length, step)
     files = ["spectrum_trace.tsv"]
@@ -243,7 +274,7 @@ def spectrum(out, inputs, window_length, step, vectors, **reading):
 @_with_options(_INPUT_OPTIONS)
 @click.option("--shift-days", default=0, show_default=True, type=int,
               help="Trading-day shift applied to market A before correlating.")
-@click.option("--window-length", default=corr.DEFAULT_GLOBAL_WINDOW, show_default=True,
+@click.option("--window-length", default=DEFAULT_GLOBAL_WINDOW, show_default=True,
               type=click.IntRange(min=2))
 @click.option("--step", default=1, show_default=True, type=click.IntRange(min=1))
 def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **reading):
@@ -252,6 +283,8 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
     Emits per-window collectivity metrics (gap ratio, dominance,
     participation ratio) alongside the eigenvalues.
     """
+    from . import corr, output, spectral
+
     panel_a, extra_a = _load_panel(inputs_a, **reading)
     panel_b, extra_b = _load_panel(inputs_b, **reading)
     merged = corr.merge_panels(panel_a, panel_b, shift_days)
@@ -288,6 +321,8 @@ def _check_array_bytes(n_bytes: int, what: str, arrays: int = 1) -> None:
 
 def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -> np.ndarray:
     """nodes points from lo to hi; with neither bound given, the default grid's span."""
+    import numpy as np
+
     if lo is None and hi is None:
         lo, hi = default[0], default[-1]
     elif lo is None or hi is None:
@@ -301,8 +336,8 @@ def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -
 
 @_subcommand("lppl-fit")
 @_with_options(_SERIES_OPTIONS)
-@click.option("--variant", type=click.Choice(lppl.VARIANTS), default="cosine", show_default=True)
-@click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
+@click.option("--variant", type=click.Choice(VARIANTS), default="cosine", show_default=True)
+@click.option("--direction", type=click.Choice(DIRECTIONS), default="bubble", show_default=True)
 @click.option("--tc-min", type=float, default=None, help="t_c grid start, days from series start.")
 @click.option("--tc-max", type=float, default=None, help="t_c grid end, days from series start.")
 @click.option("--tc-nodes", type=click.IntRange(min=1), default=200, show_default=True)
@@ -315,6 +350,8 @@ def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -
 def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max, lam_nodes,
              alpha_min, alpha_max, alpha_nodes, **series):
     """Fit the log-periodic power law; t_c is searched in days since the series start."""
+    from . import lppl, output
+
     origin, times, values = _load_series(**series)
     # The grid stage's largest arrays: log(t_c - t) per t_c row, the stacked
     # [env**2; env * y] per alpha, and the best SSE per (alpha, lam, phi) node.
@@ -346,11 +383,13 @@ def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max
 @_with_options(_SERIES_OPTIONS)
 @click.option("--t-c", "tc_text", required=True,
               help="Critical time: YYYY-MM-DD date or float days since the series start, not YYYYMMDD.")
-@click.option("--direction", type=click.Choice(lppl.DIRECTIONS), default="bubble", show_default=True)
+@click.option("--direction", type=click.Choice(DIRECTIONS), default="bubble", show_default=True)
 @click.option("--smooth-width", default=1, show_default=True, type=click.IntRange(min=1),
               help="Moving-average width before extremum detection (1 = off).")
 def extrema(out, tc_text, direction, smooth_width, **series):
     """Locate oscillation extrema around t_c and report their spacing ratios."""
+    from . import lppl, marketdata, output
+
     origin, times, values = _load_series(**series)
     try:
         tc = float(tc_text)
@@ -360,7 +399,9 @@ def extrema(out, tc_text, direction, smooth_width, **series):
         except ValueError:
             raise click.UsageError(f"--t-c {tc_text!r} is neither a number nor an ISO date") from None
     else:
-        iso = f"{tc_text[:4]}-{tc_text[4:6]}-{tc_text[6:]}"   # a date only if tc_text is 8 digits
+        # float() strips whitespace, so the date test reads the stripped text too.
+        digits = tc_text.strip()
+        iso = f"{digits[:4]}-{digits[4:6]}-{digits[6:]}"   # a date only if digits is 8 digits
         try:
             marketdata.parse_date(iso)
         except ValueError:
@@ -395,6 +436,10 @@ def extrema(out, tc_text, direction, smooth_width, **series):
 @click.option("--k-points", default=601, show_default=True, type=click.IntRange(min=2))
 def weierstrass_eval(out, a, b, m, tol, k_min, k_max, k_points):
     """Tabulate the step-distribution series p(k) on a log-spaced grid."""
+    import numpy as np
+
+    from . import output, weierstrass
+
     if not 0 < k_min < k_max < np.inf:
         raise click.UsageError(f"need 0 < k-min < k-max, both finite, got [{k_min}, {k_max}]")
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m, truncation_tol=tol)
@@ -418,6 +463,8 @@ def weierstrass_eval(out, a, b, m, tol, k_min, k_max, k_points):
 @click.option("--seed", default=0, show_default=True, type=int)
 def weierstrass_walk(out, a, b, m, steps, seed):
     """Simulate the hierarchical-step random walk."""
+    from . import output, weierstrass
+
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m)
     walk = weierstrass.simulate_walk(params, steps, seed)
     rows = itertools.chain([(0, 0.0)], enumerate(walk.positions, start=1))
@@ -435,6 +482,10 @@ def weierstrass_walk(out, a, b, m, steps, seed):
               help="Comma-separated transition amplitudes; defaults to n ones.")
 def rpa_demo(out, epsilon, kappa, n, amplitudes):
     """Two-panel strength table: degenerate states vs the diagonalized solution."""
+    import numpy as np
+
+    from . import output, rpa
+
     if amplitudes is not None:
         try:
             d = np.array([float(v) for v in amplitudes.split(",")])
@@ -464,6 +515,8 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
 @click.option("--bins", default=32, show_default=True, type=click.IntRange(min=4))
 def spacing_stats(out, input_path, drop_top, degree, bins):
     """Unfolded nearest-neighbor spacing histogram with Wigner/Poisson KS distances."""
+    from . import output, spectral
+
     _check_array_bytes(8 * (bins + 1), f"--bins {bins}")
     table = output.read_spectrum_trace(input_path)
     stats = spectral.spacing_statistics(table, drop_top=drop_top, degree=degree, bins=bins)
@@ -490,8 +543,23 @@ def _error_record(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
+def _pin_blas() -> None:
+    """Run BLAS on one thread unless the user chose a count or numpy is loaded already.
+
+    OpenBLAS reads its thread count once, when numpy loads it, so the
+    setting must come first. With both variables set to 1 the pooled
+    kernels run on resources.pool_workers() threads, and the output bytes
+    no longer follow the host's core count. A process that imported numpy
+    before calling main (a test, a benchmark harness) keeps its setting.
+    """
+    if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+        for var in BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+
+
 def main(argv: list[str] | None = None) -> int:
     """Console entry point mapping failures to documented exit codes."""
+    _pin_blas()
     try:
         cli.main(args=argv, prog_name="collectivity", standalone_mode=False)
         return 0

@@ -26,9 +26,6 @@ from . import marketdata
 from .errors import DataError
 from .marketdata import ReturnPanel
 
-DEFAULT_WINDOW = 30         # trading days, single market
-DEFAULT_GLOBAL_WINDOW = 60  # trading days, two-market global matrix
-
 
 @dataclass(frozen=True)
 class WindowInfo:

@@ -35,11 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .choices import DIRECTIONS, VARIANTS
 from .errors import DataError, NumericError
 from .resources import pool_map, pool_workers
-
-VARIANTS = ("cosine", "abs-cosine")
-DIRECTIONS = ("bubble", "antibubble")
 
 PHI_SCAN_POINTS = 64          # |cos| has period pi, so the scan covers [0, pi)
 # A grid node is skipped when its normalized Gram determinant,

@@ -173,6 +173,8 @@ def _read_columns(
             header = next(reader)
         except StopIteration:
             raise DataError("empty input: no header row") from None
+        except csv.Error as exc:
+            raise DataError(f"line 1: unreadable header: {exc}") from None
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         header = [h.strip() for h in header]
@@ -191,45 +193,49 @@ def _read_columns(
         # value and record number. The raw date texts are coded through a
         # dict, so each distinct text is parsed once, after the loop. A
         # record's line number is recovered from the record counts at which
-        # blank rows were skipped. The read stops at a short row or an
-        # unparseable value; the records before it are still checked, since an
-        # earlier fault wins. Per-key buffers keep every array one asset long,
-        # so ingest allocates and frees no array as long as the file.
+        # blank rows were skipped. The read stops at a short row, a record the
+        # csv reader rejects or an unparseable value; the records before it
+        # are still checked, since an earlier fault wins. Per-key buffers keep
+        # every array one asset long, so ingest allocates and frees no array
+        # as long as the file.
         day_code: dict[str, int] = {}
         by_key: dict[str, tuple[array, array, array]] = {}
         skipped = array("q")
         n = 0  # records read
         stop = None  # (record number, check rank, message) of the row that ended the read
-        for row in reader:
-            if len(row) <= width:
-                if "".join(row).strip():
-                    stop = (n, 0, f"expected {len(header)} fields, got {len(row)}")
-                    break
-                skipped.append(n)
-                continue
-            text = row[i_date]
-            day = day_code.get(text)
-            if day is None:
-                # A blank row has a blank date text. A non-blank row with a blank
-                # date is a fault on its own line, so rows after it need no test.
-                if not text.strip() and not "".join(row).strip():
+        try:
+            for row in reader:
+                if len(row) <= width:
+                    if "".join(row).strip():
+                        stop = (n, 0, f"expected {len(header)} fields, got {len(row)}")
+                        break
                     skipped.append(n)
                     continue
-                day = day_code[text] = len(day_code)
-            text = "" if i_key is None else row[i_key]
-            columns = by_key.get(text)
-            if columns is None:
-                columns = by_key[text] = (array("q"), array("d"), array("q"))
-            days, values, numbers = columns
-            days.append(day)
-            numbers.append(n)
-            n += 1
-            try:
-                values.append(float(row[i_value]))
-            except ValueError:
-                values.append(math.nan)
-                stop = (n - 1, 3, f"unparseable {noun} {row[i_value]!r}")
-                break
+                text = row[i_date]
+                day = day_code.get(text)
+                if day is None:
+                    # A blank row has a blank date text. A non-blank row with a blank
+                    # date is a fault on its own line, so rows after it need no test.
+                    if not text.strip() and not "".join(row).strip():
+                        skipped.append(n)
+                        continue
+                    day = day_code[text] = len(day_code)
+                text = "" if i_key is None else row[i_key]
+                columns = by_key.get(text)
+                if columns is None:
+                    columns = by_key[text] = (array("q"), array("d"), array("q"))
+                days, values, numbers = columns
+                days.append(day)
+                numbers.append(n)
+                n += 1
+                try:
+                    values.append(float(row[i_value]))
+                except ValueError:
+                    values.append(math.nan)
+                    stop = (n - 1, 3, f"unparseable {noun} {row[i_value]!r}")
+                    break
+        except csv.Error as exc:   # a field over csv.field_size_limit(), say
+            stop = (n, 0, f"unreadable record: {exc}")
 
     # Rank the distinct date texts by parsed date, so padded spellings of one
     # day share a rank, and merge the buffers of padded spellings of one id.

@@ -17,17 +17,20 @@ import os
 import platform
 from array import array
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .corr import CorrelationMatrix
 from .errors import DataError
-from .lppl import LpplFitResult
-from .marketdata import ReturnPanel, open_utf8, parse_date
-from .resources import pool_workers
-from .spectral import CollectivityMetrics, RollingSpectrumTrace
+from .marketdata import open_utf8, parse_date
+from .resources import BLAS_THREAD_VARS, pool_workers
+
+if TYPE_CHECKING:   # annotations only: a writer does not load the module of its input
+    from .corr import CorrelationMatrix
+    from .lppl import LpplFitResult
+    from .marketdata import ReturnPanel
+    from .spectral import CollectivityMetrics, RollingSpectrumTrace
 
 
 def format_cell(value) -> str:
@@ -82,8 +85,7 @@ def run_manifest(subcommand: str, config: dict, seed: int | None, outputs: list[
             "collectivity": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
             "pool_workers": pool_workers(),
         },
         "outputs": outputs,

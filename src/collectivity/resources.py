@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 MAX_ARRAY_BYTES = 1 << 27  # largest array an option or parameter may size (128 MiB)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")  # in the order OpenBLAS reads them
 
 
 def pool_workers() -> int:
@@ -15,9 +16,11 @@ def pool_workers() -> int:
     BLAS, LAPACK and numpy loops that release the interpreter lock, so the
     work runs in parallel; on top of a multi-threaded BLAS the same pool only
     oversubscribes the cores. OpenBLAS reads OPENBLAS_NUM_THREADS before
-    OMP_NUM_THREADS.
+    OMP_NUM_THREADS. The `collectivity` command sets both to 1 when neither
+    is set, so its runs take the pool; a library caller keeps its setting.
     """
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    openblas, omp = BLAS_THREAD_VARS
+    blas_threads = os.environ.get(openblas, os.environ.get(omp))
     if blas_threads != "1":
         return 1
     if hasattr(os, "sched_getaffinity"):

@@ -154,7 +154,7 @@ class TestLpplCommands:
         assert record["lambda_estimate"] == pytest.approx(2.0, rel=0.05)
 
     def test_extrema_rejects_a_week_date(self, lppl_series_csv, tmp_path, capsys):
-        # A basic-format date such as 20060205 parses as a number of days first.
+        # parse_date takes only YYYY-MM-DD, and a week date is no number either.
         rc = main(["extrema", "--input", str(lppl_series_csv),
                    "--t-c", "2006-W05-7", "--out-dir", str(tmp_path / "ex")])
         assert rc == 1
@@ -170,6 +170,19 @@ class TestLpplCommands:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record == {"error": "usage",
                           "message": "--t-c '20060205' is both a YYYYMMDD date and a number: "
+                                     "write 2006-02-05 for the date or 20060205.0 for days"}
+        assert not (tmp_path / "ex" / "extrema.json").exists()
+
+    @pytest.mark.parametrize("tc_text", [" 20060205", "20060205 ", "\t20060205\n"])
+    def test_extrema_rejects_padded_days_that_read_as_a_basic_format_date(
+            self, lppl_series_csv, tmp_path, capsys, tc_text):
+        # float() strips the padding, so the date test must too.
+        rc = main(["extrema", "--input", str(lppl_series_csv),
+                   "--t-c", tc_text, "--out-dir", str(tmp_path / "ex")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record == {"error": "usage",
+                          "message": f"--t-c {tc_text!r} is both a YYYYMMDD date and a number: "
                                      "write 2006-02-05 for the date or 20060205.0 for days"}
         assert not (tmp_path / "ex" / "extrema.json").exists()
 
@@ -561,6 +574,25 @@ class TestErrorSurface:
         record = json.loads(line)
         assert record["error"] == "data"
         assert record["message"].startswith(f"{path}: not UTF-8 text")
+
+    @pytest.mark.parametrize(("command", "content", "message"), [
+        ("returns", "date,asset,price\n2020-01-01,A,1.0\n2020-01-02,A,{field}\n",
+         "line 3: unreadable record: field larger than field limit (131072)"),
+        ("lppl-fit", "date,price\n2020-01-01,1.0\n\n2020-01-02,{field}\n",
+         "line 4: unreadable record: field larger than field limit (131072)"),
+        ("returns", "date,asset,price\n2020-01-01,A,-1.0\n2020-01-02,A,{field}\n",
+         "line 2: non-positive price -1.0 for A"),
+        ("returns", "date,asset,{field}\n2020-01-01,A,1.0\n",
+         "line 1: unreadable header: field larger than field limit (131072)"),
+    ], ids=["returns", "lppl-fit", "earlier-fault-wins", "header"])
+    def test_a_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys, command, content,
+                                                         message):
+        path = tmp_path / "input.csv"
+        path.write_text(content.format(field="1" * 200_000))
+        rc = main([command, "--input", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "data", "message": message}
 
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["returns", "--input", str(tmp_path / "absent.csv")])
