@@ -41,7 +41,7 @@ import click
 from . import __version__
 from .choices import DIRECTIONS, VARIANTS
 from .errors import DataError, NumericError
-from .resources import BLAS_THREAD_VARS, MAX_ARRAY_BYTES
+from .resources import BLAS_THREAD_VARS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -304,21 +304,6 @@ def global_spectrum(out, inputs_a, inputs_b, shift_days, window_length, step, **
         **extra_a, "assets_dropped": dropped, "windows": len(trace)}
 
 
-def _check_array_bytes(n_bytes: int, what: str, arrays: int = 1) -> None:
-    """Reject option values that would size arrays above MAX_ARRAY_BYTES, before they exist.
-
-    `arrays` arrays of n_bytes each are alive at once and must fit the cap
-    together; the message names a single array that alone is over it.
-    """
-    if arrays * n_bytes <= MAX_ARRAY_BYTES:
-        return
-    if n_bytes > MAX_ARRAY_BYTES:
-        held = f"a {n_bytes:,}-byte array"
-    else:
-        held = f"{arrays} {n_bytes:,}-byte arrays at once"
-    raise DataError(f"{what} needs {held}, above the {MAX_ARRAY_BYTES:,}-byte cap")
-
-
 def _grid(lo: float | None, hi: float | None, nodes: int, default: np.ndarray) -> np.ndarray:
     """nodes points from lo to hi; with neither bound given, the default grid's span."""
     import numpy as np
@@ -353,13 +338,8 @@ def lppl_fit(out, variant, direction, tc_min, tc_max, tc_nodes, lam_min, lam_max
     from . import lppl, output
 
     origin, times, values = _load_series(**series)
-    # The grid stage's largest arrays: log(t_c - t) per t_c row, the stacked
-    # [env**2; env * y] per alpha, and the best SSE per (alpha, lam, phi) node.
-    n_t, n_phi = len(times), lppl.PHI_SCAN_POINTS if variant == "abs-cosine" else 1
-    _check_array_bytes(8 * tc_nodes * n_t, f"--tc-nodes {tc_nodes} at {n_t} points")
-    _check_array_bytes(16 * alpha_nodes * n_t, f"--alpha-nodes {alpha_nodes} at {n_t} points")
-    _check_array_bytes(8 * alpha_nodes * lam_nodes * n_phi,
-                       f"--alpha-nodes {alpha_nodes} x --lam-nodes {lam_nodes} x {n_phi} phi nodes")
+    lppl.check_grid_bytes(len(times), tc_nodes, lam_nodes, alpha_nodes, variant, (
+        f"--tc-nodes {tc_nodes}", f"--lam-nodes {lam_nodes}", f"--alpha-nodes {alpha_nodes}"))
     defaults = lppl.default_fit_config(times, variant, direction)
     config = lppl.FitConfig(
         tc_grid=_grid(tc_min, tc_max, tc_nodes, defaults.tc_grid),
@@ -438,12 +418,12 @@ def weierstrass_eval(out, a, b, m, tol, k_min, k_max, k_points):
     """Tabulate the step-distribution series p(k) on a log-spaced grid."""
     import numpy as np
 
-    from . import output, weierstrass
+    from . import output, resources, weierstrass
 
     if not 0 < k_min < k_max < np.inf:
         raise click.UsageError(f"need 0 < k-min < k-max, both finite, got [{k_min}, {k_max}]")
     params = weierstrass.WeierstrassParams(a=a, b=b, m=m, truncation_tol=tol)
-    _check_array_bytes(8 * k_points, f"--k-points {k_points}")
+    resources.check_bytes(8 * k_points, f"--k-points {k_points}")
     k = np.logspace(np.log10(k_min), np.log10(k_max), k_points)
     values = weierstrass.weierstrass_values(k, params)
     depth = weierstrass.series_depth(params)
@@ -491,9 +471,9 @@ def rpa_demo(out, epsilon, kappa, n, amplitudes):
             d = np.array([float(v) for v in amplitudes.split(",")])
         except ValueError:
             raise click.UsageError(f"--amplitudes {amplitudes!r} is not a comma-separated float list") from None
-        _check_array_bytes(8 * len(d) ** 2, f"--amplitudes of {len(d)} values", rpa.SOLVE_ARRAYS)
+        rpa.check_solve_bytes(len(d), f"--amplitudes of {len(d)} values")
     else:
-        _check_array_bytes(8 * n * n, f"--n {n}", rpa.SOLVE_ARRAYS)
+        rpa.check_solve_bytes(n, f"--n {n}")
         d = np.ones(n)
     model = rpa.SchematicRpaModel(epsilon=epsilon, kappa=kappa, d=d)
     solution = rpa.solve_numeric(model)
@@ -517,7 +497,7 @@ def spacing_stats(out, input_path, drop_top, degree, bins):
     """Unfolded nearest-neighbor spacing histogram with Wigner/Poisson KS distances."""
     from . import output, spectral
 
-    _check_array_bytes(8 * (bins + 1), f"--bins {bins}")
+    spectral.check_spacing_bytes(bins, f"--bins {bins}")
     table = output.read_spectrum_trace(input_path)
     stats = spectral.spacing_statistics(table, drop_top=drop_top, degree=degree, bins=bins)
     output.write_tsv(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .choices import DIRECTIONS, VARIANTS
 from .errors import DataError, NumericError
-from .resources import pool_map, pool_workers
+from .resources import check_bytes, pool_map, pool_workers
 
 PHI_SCAN_POINTS = 64          # |cos| has period pi, so the scan covers [0, pi)
 # A grid node is skipped when its normalized Gram determinant,
@@ -51,7 +51,7 @@ MAX_REFINE_SWEEPS = 500      # Levenberg-Marquardt iterations
 # buffers fit in it, and the t_c row batches of the pool_map tasks running at
 # once, one per worker, fit in it together. A task's gathered block of Gram
 # entries (_scan_rows) takes at most its batch's row-buffer bytes, or one
-# batch's entries where those are larger.
+# row's entries where those are larger.
 GRID_BLOCK_BYTES = 4 << 20
 
 
@@ -324,10 +324,22 @@ def _row_bytes(n_t, n_lam, n_phi, abs_cosine):
     sets the last bits of every grid SSE, so it keeps the |cos| product slot
     although _scan_rows now fills that slot in place, in the scan column
     itself. The node-shaped buffers of the gathered block (the Gram entries,
-    the LDL^T tail's scratch and the node masks) are not counted here:
-    _scan_rows gathers as many rows as fit in the batch's row-buffer bytes."""
+    the LDL^T tail's scratch and the node masks) are not counted here: they
+    take at most the row-buffer bytes of the batch _scan_rows is given."""
     n_osc = 1 if abs_cosine else 2
     return 8 * n_t * n_lam * (1 + n_phi * (n_osc + 1) + 2 * abs_cosine)
+
+
+def _lam_block_count(n_t, n_lam, n_phi, abs_cosine):
+    """How many lam blocks: as few as keep a block's _row_bytes within GRID_BLOCK_BYTES."""
+    lam_bytes = _row_bytes(n_t, 1, n_phi, abs_cosine)
+    return min(n_lam, -(-n_lam * lam_bytes // GRID_BLOCK_BYTES))
+
+
+def _node_slots(n_osc):
+    """Per-node slots of a row's gathered Gram entries and of its LDL^T scratch (_ldl_scratch)."""
+    size = n_osc + 1
+    return 2 * n_osc + n_osc * (n_osc + 1) // 2, 3 + size * (size + 1) // 2
 
 
 def _cos_sin(theta, cos_out, sin_out):
@@ -366,8 +378,9 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
 
     S is a whole number of batches, as many as keep the gathered block (the
     node entries, the LDL^T tail's scratch and the two node masks) within the
-    bytes of the batch's row buffers (_row_bytes), at least one batch and at
-    most all rows. Returns (best_sse, best_row, nodes skipped); each node
+    given batch's row-buffer bytes (_row_bytes), at most all rows; a batch
+    whose rows' node buffers exceed those bytes is first cut to the rows that
+    fit, one at least. Returns (best_sse, best_row, nodes skipped); each node
     keeps the first row that reaches its least SSE: argmin within a block,
     and a strict < against earlier blocks.
 
@@ -380,18 +393,14 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     n_lam, n_alpha = len(omegas), len(alphas)
     n_osc = 1 if abs_cosine else 2
     n_cols = n_lam * len(phis)
-    size = n_osc + 1
-    # Entry slots of a row: each oscillation column's cross entry and right-hand
-    # side, then the squared entries b_j * b_m (m <= j).
-    n_slots = 2 * n_osc + n_osc * (n_osc + 1) // 2
+    n_slots, n_scratch = _node_slots(n_osc)
     y_sq = float(y @ y)
-    batch = min(batch, n_rows)
     # Block rows: whole batches, as many as keep the node-shaped buffers of a row (its
     # entries, the tail's scratch and the two masks, each counted at 8 bytes a node)
-    # within the batch's row-buffer bytes.
-    n_scratch = 3 + size * (size + 1) // 2
+    # within the given batch's row-buffer bytes, after cutting the batch to fit them.
     tail_bytes = 8 * (n_slots + n_scratch + 2) * n_alpha * n_cols
     row_bytes = _row_bytes(n_t, n_lam, len(phis), abs_cosine)
+    batch = min(batch, n_rows, max(1, batch * row_bytes // tail_bytes))
     block_rows = min(n_rows, batch * max(1, row_bytes // tail_bytes))
     # Row buffers shared by every batch; a short last batch uses their leading rows.
     theta = np.empty((batch, n_lam, n_t))
@@ -405,7 +414,7 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     entries = np.empty((block_rows, n_slots * n_alpha, n_cols))
     slots = entries.reshape(block_rows, n_slots, n_alpha, n_cols)
     sums = np.empty((block_rows, 2, n_alpha, 1))     # sum of env**2 and env.y
-    tail = _ldl_scratch(size, (block_rows, n_alpha, n_cols))
+    tail = _ldl_scratch(n_osc + 1, (block_rows, n_alpha, n_cols))
     ok_buf = np.empty((block_rows, n_alpha, n_cols), dtype=bool)
     flag_buf = np.empty_like(ok_buf)
     if abs_cosine:
@@ -494,6 +503,26 @@ def _scan_rows(logx, y, omegas, alphas, phis, abs_cosine, batch):
     return best_sse, best_row, skipped
 
 
+def check_grid_bytes(n_t, n_tc, n_lam, n_alpha, variant, labels=None) -> None:
+    """Raise DataError if the grid stage would size an array above the cap (check_bytes).
+
+    `labels` name the t_c, lam and alpha grids (default "200 t_c nodes"...). In order:
+    log(t_c - t), one row's [env**2; env * y], the best SSE per node, one lam's basis for
+    one row (the lam blocks hold wider bases within GRID_BLOCK_BYTES), and one row's
+    Gram entries and LDL^T scratch for the widest lam block, which grow with alpha.
+    """
+    tc, lam, alpha = labels or (f"{n_tc} t_c nodes", f"{n_lam} lam nodes", f"{n_alpha} alpha nodes")
+    n_phi, n_osc = (PHI_SCAN_POINTS, 1) if variant == "abs-cosine" else (1, 2)
+    nodes = f"{alpha} x {lam} x {n_phi} phi nodes"
+    check_bytes(8 * n_tc * n_t, f"{tc} at {n_t} points")
+    check_bytes(16 * n_alpha * n_t, f"{alpha} at {n_t} points")
+    check_bytes(8 * n_alpha * n_lam * n_phi, nodes)
+    check_bytes(8 * n_osc * n_phi * n_t, f"{variant} at {n_t} points: one lam's oscillation basis")
+    width = -(-n_lam // _lam_block_count(n_t, n_lam, n_phi, n_osc == 1))   # array_split's widest
+    for slots, what in zip(_node_slots(n_osc), ("Gram entries", "LDL^T scratch")):
+        check_bytes(8 * slots * n_alpha * width * n_phi, f"{nodes}: one t_c row's {what}")
+
+
 def _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks):
     """Best SSE and its t_c row for every (alpha, lam*phi) node, over the lam blocks.
 
@@ -504,7 +533,7 @@ def _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks):
     The t_c rows are split into W = min(pool_workers(), rows) contiguous
     slabs, and every (lam block, slab) pair is one task of a single
     resources.pool_map over W threads. A task builds its slab's Gram entries
-    R rows at a time (_scan_rows), with R = max(1, GRID_BLOCK_BYTES // (W *
+    R rows at a time (_scan_rows), with R <= max(1, GRID_BLOCK_BYTES // (W *
     one row's buffers for the block)), so the row buffers of all workers
     together stay within GRID_BLOCK_BYTES unless one row's alone exceed it,
     and runs the LDL^T tail once per gathered block of S rows, a whole number
@@ -592,8 +621,7 @@ def _grid_stage(times, y, config, diag):
         phis = np.arange(PHI_SCAN_POINTS) * (math.pi / PHI_SCAN_POINTS)
     else:
         phis = np.zeros(1)
-    lam_bytes = _row_bytes(len(times), 1, len(phis), abs_cosine)
-    n_blocks = min(len(omegas), -(-len(omegas) * lam_bytes // GRID_BLOCK_BYTES))
+    n_blocks = _lam_block_count(len(times), len(omegas), len(phis), abs_cosine)
     blocks = [(b[0], b[-1] + 1) for b in np.array_split(np.arange(len(omegas)), n_blocks)]
 
     best_sse, best_row, skipped = _scan_grid(logx, y, omegas, alphas, phis, abs_cosine, blocks)
@@ -707,7 +735,8 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
     Stage 1 evaluates every (t_c, lam, alpha) grid node (the t_c grid is
     clipped so all data stay strictly on the correct side of t_c); stage 2
     refines the best node by Levenberg-Marquardt (see _refine). Ties between
-    equal-SSE nodes resolve to the first node in grid order.
+    equal-SSE nodes resolve to the first node in grid order. Over the array
+    cap it raises DataError first (check_grid_bytes).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -722,6 +751,8 @@ def fit_model(times, values, config: FitConfig | None = None) -> LpplFitResult:
     if len(tc_grid) == 0:
         raise DataError("every t_c grid node leaves data on the wrong side of the critical time")
     config = replace(config, tc_grid=tc_grid)
+    check_grid_bytes(len(times), len(tc_grid), len(config.lam_grid), len(config.alpha_grid),
+                     config.variant)
 
     diag = FitDiagnostics()
     grid_sse, node = _grid_stage(times, values, config, diag)

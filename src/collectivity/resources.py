@@ -1,4 +1,4 @@
-"""Machine resources a run may use: worker threads, the one pool runner, the size of one array."""
+"""Machine resources a run may use: worker threads, the one pool runner, check_bytes's array cap."""
 
 from __future__ import annotations
 
@@ -6,6 +6,17 @@ import os
 
 MAX_ARRAY_BYTES = 1 << 27  # largest array an option or parameter may size (128 MiB)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")  # in the order OpenBLAS reads them
+
+
+def check_bytes(n_bytes: int, what: str, arrays: int = 1) -> None:
+    """Raise DataError, before they exist, if `arrays` arrays of n_bytes each exceed
+    MAX_ARRAY_BYTES together; the message names a single array that alone is over it."""
+    if arrays * n_bytes <= MAX_ARRAY_BYTES:
+        return
+    from .errors import DataError   # here, so loading this module imports nothing more
+    held = (f"a {n_bytes:,}-byte array" if n_bytes > MAX_ARRAY_BYTES
+            else f"{arrays} {n_bytes:,}-byte arrays at once")
+    raise DataError(f"{what} needs {held}, above the {MAX_ARRAY_BYTES:,}-byte cap")
 
 
 def pool_workers() -> int:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
+from .resources import check_bytes
 from .spectral import symmetric_eigendecomposition
 
 # N x N float arrays solve_numeric holds at its peak: the Hamiltonian, eigh's
@@ -29,6 +30,11 @@ from .spectral import symmetric_eigendecomposition
 # buffers. rpa-demo's peak RSS (OpenBLAS on one thread) grew by 6.1 such
 # arrays over N = 16 at N = 1024, and by 5.8 at N = 1400.
 SOLVE_ARRAYS = 6
+
+
+def check_solve_bytes(n: int, what: str) -> None:
+    """Raise DataError if solve_numeric's SOLVE_ARRAYS n x n arrays exceed the cap together."""
+    check_bytes(8 * n * n, what, SOLVE_ARRAYS)
 
 
 @dataclass
@@ -117,8 +123,9 @@ def solve_numeric(model: SchematicRpaModel) -> RpaSolution:
 
     Cross-checks the analytic solution through an independent route. The
     strength sum is conserved at sum(d^2) for any coupling because the
-    eigenvectors are orthonormal.
+    eigenvectors are orthonormal. Over the array cap it raises DataError first.
     """
+    check_solve_bytes(model.n, f"{model.n} transition amplitudes")
     values, vectors = symmetric_eigendecomposition(build_hamiltonian(model))
     overlaps = vectors.T @ model.d
     with np.errstate(over="ignore"):

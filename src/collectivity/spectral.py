@@ -31,7 +31,7 @@ from . import corr
 from .corr import CorrelationMatrix
 from .errors import DataError, NumericError
 from .marketdata import ReturnPanel
-from .resources import pool_map, pool_workers
+from .resources import check_bytes, pool_map, pool_workers
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -383,6 +383,11 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def check_spacing_bytes(bins: int, what: str) -> None:
+    """Raise DataError if spacing_statistics' bins + 1 histogram edges exceed the array cap."""
+    check_bytes(8 * (bins + 1), what)
+
+
 def spacing_statistics(
     eigenvalues: np.ndarray,
     drop_top: int = 1,
@@ -396,12 +401,13 @@ def spacing_statistics(
     set (the collective modes) are excluded before unfolding; each set is
     unfolded separately (one unfold_spacings call on the whole bulk) and
     the spacings are pooled in set order, then rescaled to mean 1.
-    n_rank_deficient counts the sets whose unfolding fit was rank
-    deficient; the unfolding also warns of them with a RankWarning.
+    n_rank_deficient counts the sets whose unfolding fit was rank deficient, as
+    RankWarnings also say. Bin edges over the array cap raise DataError first.
     """
     for name, value, least in (("drop_top", drop_top, 0), ("degree", degree, 1), ("bins", bins, 1)):
         if value < least:
             raise DataError(f"{name} must be >= {least}, got {value}")
+    check_spacing_bytes(bins, f"bins {bins}")
     try:
         table = np.asarray(eigenvalues, dtype=float)
     except (TypeError, ValueError) as exc:   # ragged sets, or not a table at all

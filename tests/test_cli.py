@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collectivity import cli, lppl, output, rpa, spectral, synthetic, weierstrass
+from collectivity import cli, lppl, output, resources, rpa, spectral, synthetic, weierstrass
 from collectivity.cli import main
 from collectivity.marketdata import PriceSeries
 
@@ -809,11 +809,11 @@ class TestOptionArrayCap:
         assert not (tmp_path / "o" / "rpa_demo.tsv").exists()
         # n = 1672 passes the same check; it is not run, since its solve would
         # hold about 134 MB.
-        cli._check_array_bytes(8 * 1672**2, "--n 1672", rpa.SOLVE_ARRAYS)
+        resources.check_bytes(8 * 1672**2, "--n 1672", rpa.SOLVE_ARRAYS)
 
     def test_rpa_demo_limit_is_exact(self, tmp_path, monkeypatch):
         # With a cap of six 10 x 10 arrays, n = 10 runs and n = 11 does not.
-        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", rpa.SOLVE_ARRAYS * 8 * 10**2)
+        monkeypatch.setattr(resources, "MAX_ARRAY_BYTES", rpa.SOLVE_ARRAYS * 8 * 10**2)
         assert main(["rpa-demo", "--n", "10", "--out-dir", str(tmp_path / "ten")]) == 0
         assert main(["rpa-demo", "--n", "11", "--out-dir", str(tmp_path / "eleven")]) == 2
         assert main(["rpa-demo", "--amplitudes", ",".join(["1"] * 11),
@@ -822,7 +822,7 @@ class TestOptionArrayCap:
     def test_defaults_and_bench_grids_sit_far_below_the_cap(self, tmp_path, monkeypatch):
         # A 500-point series with the default grids (as in acceptance criterion 5)
         # and the benchmark's |cos| grid still pass with a cap 100 times smaller.
-        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", cli.MAX_ARRAY_BYTES // 100)
+        monkeypatch.setattr(resources, "MAX_ARRAY_BYTES", resources.MAX_ARRAY_BYTES // 100)
         model = lppl.LogPeriodicModel(tc=550.0, alpha=0.5, lam=2.0, phi=1.0, a=2.0, b=0.3)
         series = tmp_path / "series.csv"
         origin = dt.date(2000, 1, 1)

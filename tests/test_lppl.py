@@ -869,6 +869,26 @@ class TestGatheredTail:
             tracemalloc.stop()
         assert 1.5 * row_buffers < peak - env_bytes < 2.0 * row_buffers
 
+    def test_short_series_cuts_the_batch_to_its_gathered_block(self):
+        # A default-grid cosine slab of 20 points on 2 workers: a row's node buffers
+        # (123,984 bytes) outweigh its row buffers (26,240), so the 79-row batch
+        # _scan_grid asks for is cut to the 16 rows whose node buffers fit in its
+        # row-buffer bytes. Uncut, the gathered block would take 79 rows, 9.8 MB.
+        t = np.arange(20.0)
+        cfg = default_fit_config(t)
+        logx, omegas, alphas, phis = self.grid_inputs(t, cfg.tc_grid[1:101], cfg.lam_grid,
+                                                      cfg.alpha_grid, "cosine")
+        row_bytes = lppl._row_bytes(len(t), len(omegas), 1, False)
+        batch = lppl.GRID_BLOCK_BYTES // (2 * row_bytes)
+        budget = batch * row_bytes
+        tracemalloc.start()
+        try:
+            lppl._scan_rows(logx, np.cos(t / 3.0), omegas, alphas, phis, False, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * budget
+
 
 class TestRefine:
     @staticmethod
